@@ -23,6 +23,11 @@ Operators:
   neighbours agree on that property (Section 4.1).
 * :class:`Filter`, :class:`FetchProps` — predicate evaluation and
   vertex-property lookup.
+
+Every list lookup and property-store read is an index probe, not a
+repartitioning join: the index or property-store side is marked with
+``F.broadcast`` as the hash-join build side, and the matches stay in
+place.
 """
 from __future__ import annotations
 
@@ -182,7 +187,9 @@ def _attach(
             f"variable column {key_col!r} not bound yet "
             f"(have {sorted(matches.columns)})"
         )
-    out = matches.join(ldf, matches[key_col] == F.col(k), "inner").drop(k)
+    out = matches.join(
+        F.broadcast(ldf), matches[key_col] == F.col(k), "inner"
+    ).drop(k)
     if residual:
         out = out.withColumn(a, _apply_array_preds(F.col(a), residual))
     return out, a, fields
@@ -242,15 +249,17 @@ def _fetch_missing_props(
             F.col("eid").alias("__fe"),
             *[F.col(p).alias(f"{var}__{p}") for p in sorted(props)],
         )
-        df = df.join(et, df[f"{var}__eid"] == F.col("__fe"), "inner").drop(
-            "__fe"
-        )
+        df = df.join(
+            F.broadcast(et), df[f"{var}__eid"] == F.col("__fe"), "inner"
+        ).drop("__fe")
     for var, props in sorted(need_v.items()):
         vt = ctx.graph.vertices.select(
             F.col("vid").alias("__fv"),
             *[F.col(p).alias(f"{var}__{p}") for p in sorted(props)],
         )
-        df = df.join(vt, df[var] == F.col("__fv"), "inner").drop("__fv")
+        df = df.join(
+            F.broadcast(vt), df[var] == F.col("__fv"), "inner"
+        ).drop("__fv")
     return df
 
 
@@ -389,11 +398,13 @@ class Extend:
                 f"variable column {key_col!r} not bound yet "
                 f"(have {sorted(matches.columns)})"
             )
-        df = matches.join(fl, matches[key_col] == F.col("__k0"), "inner")
+        df = matches.join(
+            F.broadcast(fl), matches[key_col] == F.col("__k0"), "inner"
+        )
         vl = idx.base.vertex_lists.select(
             F.col("pk").alias("__vk0"), F.col("lst").alias("__vl0")
         )
-        df = df.join(vl, anchor == F.col("__vk0"), "inner")
+        df = df.join(F.broadcast(vl), anchor == F.col("__vk0"), "inner")
         entry = F.element_at(F.col("__vl0"), F.col("__p0") + 1)
         keep = [
             c for c in df.columns
@@ -482,7 +493,9 @@ class IntersectExtend:
                     raise KeyError(
                         f"variable column {from_var!r} not bound yet"
                     )
-                df = df.join(ldf, df[from_var] == F.col(k), "inner").drop(k)
+                df = df.join(
+                    F.broadcast(ldf), df[from_var] == F.col(k), "inner"
+                ).drop(k)
             else:
                 df, a, _ = _attach(ctx, df, from_var, access, str(i))
                 df = df.withColumn(
@@ -596,7 +609,7 @@ class FetchProps:
             *[F.col(p).alias(f"{self.var}__{p}") for p in props],
         )
         return matches.join(
-            vt, matches[self.var] == F.col("__fv"), "inner"
+            F.broadcast(vt), matches[self.var] == F.col("__fv"), "inner"
         ).drop("__fv")
 
     def describe(self) -> str:

@@ -2,6 +2,8 @@
 tiny synthetic financial graph: every access path (default granular
 lists, sorted-array pruning, vertex-bound gather, edge-bound gather)
 must produce exactly the relational-join answer."""
+import re
+
 import pytest
 from pyspark.sql import functions as F
 
@@ -320,6 +322,94 @@ def test_filter_and_fetchprops(ctx):
     ).execute(ctx)
     assert "a3__city" in df.columns
     assert all(r["a3__city"] == "Toronto" for r in df.collect())
+
+
+_JOIN = re.compile(
+    r"\b(BroadcastHashJoin|SortMergeJoin|ShuffledHashJoin"
+    r"|BroadcastNestedLoopJoin) (\[.*?\]), (\[.*?\])"
+)
+#: join keys the operators give the index or property-store side
+_PROBE_KEY = re.compile(r"\b__(k\d+|vk\d+|fv|fe)#")
+
+
+def _probe_joins(df, capsys) -> list[str]:
+    """Strategies of the operator joins in ``df``'s executed plan, read
+    from ``DataFrame.explain()``.  The plan also prints the build plans
+    of the cached index tables (under ``InMemoryRelation``), whose
+    build-time joins ran once, not per query; operator joins are told
+    apart by the key they probe the index or property store with."""
+    df.collect()
+    capsys.readouterr()
+    df.explain()
+    return [
+        strategy
+        for strategy, left, right in _JOIN.findall(capsys.readouterr().out)
+        if _PROBE_KEY.search(left + right)
+    ]
+
+
+#: one plan per access path; every list lookup and property-store read
+#: must probe a broadcast hash of the index side
+_ACCESS_PATHS = {
+    "default-granular": (
+        Extend("a1", "a2", "e1",
+               ListAccess("D.fw", part_eq=(("elabel", "W"),))),
+    ),
+    "nbr-ids-intersection": (
+        Extend("a1", "a2", "e1", ListAccess("D.fw")),
+        IntersectExtend(
+            "a3", (("a2", ListAccess("D.fw")), ("a1", ListAccess("D.bw")))
+        ),
+    ),
+    "vb-array-gather": (
+        Extend("a1", "a2", "e1",
+               ListAccess("VBt.fw", part_eq=(("elabel", "DD"),))),
+    ),
+    "vb-row-mode": (
+        Extend("a1", "a2", "e1",
+               ListAccess("VBt.fw", part_eq=(("elabel", "W"),),
+                          array_preds=(("amt", ">", 700.0),))),
+    ),
+    "eb-row-mode": (
+        Extend("a1", "a2", "e1", ListAccess("D.fw")),
+        Extend("e1", "a3", "e2",
+               ListAccess("EB.mf",
+                          array_preds=(("nbr_city", "=", "Toronto"),))),
+    ),
+    "eb-gather": (
+        Extend("a1", "a2", "e1", ListAccess("D.fw")),
+        Extend("e1", "a3", "e2", ListAccess("EB.mf")),
+    ),
+    "multi-extend": (
+        Extend("a1", "a2", "e1", ListAccess("D.fw")),
+        MultiExtend(
+            (
+                ExtTarget("e1", "a3", "e2", ListAccess("EB.mf")),
+                ExtTarget("e1", "a4", "e3", ListAccess("EB.mf")),
+            ),
+            key_field="nbr_city",
+        ),
+    ),
+    "filter-fetch": (
+        Extend("a1", "a2", "e1", ListAccess("D.fw")),
+        Filter((Atom(("a2", "city"), "=", "Toronto"),
+                Atom(("e1", "amt"), ">", 100.0))),
+    ),
+    "fetch-props": (
+        Extend("a1", "a2", "e1", ListAccess("D.fw")),
+        FetchProps("a2"),
+    ),
+}
+
+
+@pytest.mark.parametrize("path", sorted(_ACCESS_PATHS))
+def test_index_probes_are_broadcast_hash_joins(ctx, capsys, path):
+    """E/I is an index probe: the match side stays in place and each
+    operator probes a hash of the cached index, so no operator join
+    repartitions the matches or the index."""
+    df = Plan(path, (Scan("a1"),) + _ACCESS_PATHS[path]).execute(ctx)
+    joins = _probe_joins(df, capsys)
+    assert joins and set(joins) == {"BroadcastHashJoin"}, joins
 
 
 def test_unbound_variable_raises(ctx):
