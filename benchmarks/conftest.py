@@ -6,10 +6,6 @@ import pytest
 
 # Benchmarks default to the bench scale unless the caller overrides it.
 os.environ.setdefault("REPRO_SCALE", "bench")
-# Fewer shuffle partitions: at reproduction scale, 64-task stages are
-# pure scheduling overhead that drowns the per-row work the benchmarks
-# compare (the session fixture reads this at first use).
-os.environ.setdefault("SPARK_SHUFFLE_PARTITIONS", "16")
 
 
 @pytest.fixture(scope="session")

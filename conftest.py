@@ -40,38 +40,24 @@ def _driver_mem() -> str:
 os.environ.setdefault("SPARK_DRIVER_MEM", _driver_mem())
 os.environ.setdefault(
     "PYSPARK_SUBMIT_ARGS",
-    f"--master {os.environ.get('SPARK_MASTER', 'local[*]')} "
-    f"--driver-memory {os.environ['SPARK_DRIVER_MEM']} "
-    f"--conf spark.driver.host=127.0.0.1 "
-    f"--conf spark.ui.enabled=false "
-    "pyspark-shell",
+    f"--driver-memory {os.environ['SPARK_DRIVER_MEM']} pyspark-shell",
 )
 
 import pytest  # noqa: E402
 from pyspark.sql import SparkSession  # noqa: E402
+
+from repro.session import spark_session  # noqa: E402
 
 
 @pytest.fixture(scope="session")
 def spark() -> SparkSession:
     """One local-mode SparkSession for the whole test session.
 
-    Master and driver memory come from ``PYSPARK_SUBMIT_ARGS`` (set above,
-    pre-JVM-launch). Per-session configs that *are* honoured post-launch
-    (shuffle partitions, Arrow, broadcast threshold) are set here.
-    Automatic broadcast joins are disabled, so Spark never broadcasts a
-    match DataFrame on its own; the engine's operators mark the index or
-    property-store side of each lookup as the broadcast build side.
+    Driver memory comes from ``PYSPARK_SUBMIT_ARGS`` (set above,
+    pre-JVM-launch).  Every other setting is the one session definition
+    that the jobs and the benchmark use too (``repro.session``).
     """
-    s = (
-        SparkSession.builder.appName("repro")
-        .config(
-            "spark.sql.shuffle.partitions",
-            os.environ.get("SPARK_SHUFFLE_PARTITIONS", "64"),
-        )
-        .config("spark.sql.execution.arrow.pyspark.enabled", "true")
-        .config("spark.sql.autoBroadcastJoinThreshold", -1)
-        .getOrCreate()
-    )
+    s = spark_session("repro")
     # One line in test_output.txt that tells the driver whether the
     # cgroup derivation saw the real limit (README § Spark target).
     print(

@@ -7,29 +7,20 @@ to ``results/<table>.json`` for EXPERIMENTS.md.
 from __future__ import annotations
 
 import json
-import os
 import pathlib
 import sys
 
 from pyspark.sql import SparkSession
 
+from repro.session import spark_session
+
 RESULTS_DIR = pathlib.Path(__file__).resolve().parent.parent / "results"
 
 
 def get_spark(app: str) -> SparkSession:
-    """A session configured like the conftest fixture (jobs run outside
-    pytest, so they build their own)."""
-    return (
-        SparkSession.builder.appName(app)
-        .master(os.environ.get("SPARK_MASTER", "local[*]"))
-        .config("spark.sql.shuffle.partitions",
-                os.environ.get("SPARK_SHUFFLE_PARTITIONS", "16"))
-        .config("spark.sql.execution.arrow.pyspark.enabled", "true")
-        .config("spark.sql.autoBroadcastJoinThreshold", -1)
-        .config("spark.ui.enabled", "false")
-        .config("spark.driver.host", "127.0.0.1")
-        .getOrCreate()
-    )
+    """The project's session (``repro.session``), the one the test
+    fixture builds too."""
+    return spark_session(app)
 
 
 def save_cells(name: str, cells) -> None:

@@ -15,6 +15,7 @@ predicate.
 """
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Any, Callable
 
@@ -85,7 +86,11 @@ def graphflow_default(direction: str) -> IndexConfig:
 # ---------------------------------------------------------------------------
 # Predicate atoms
 
-_OPS = {"=", "!=", "<", "<=", ">", ">="}
+#: comparison op → the Column operator that builds it
+COMPARE = {
+    "=": operator.eq, "!=": operator.ne, "<": operator.lt,
+    "<=": operator.le, ">": operator.gt, ">=": operator.ge,
+}
 _SQL_OPS = {"=": "=", "!=": "<>", "<": "<", "<=": "<=", ">": ">", ">=": ">="}
 
 Ref = tuple[str, str]  # (entity, prop) — entity is a view role or query var
@@ -106,7 +111,7 @@ class Atom:
     delta: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.op not in _OPS:
+        if self.op not in COMPARE:
             raise ValueError(f"unsupported op {self.op!r}")
 
     @property
@@ -129,14 +134,7 @@ class Atom:
         rhs = resolve(self.rhs) if self.rhs_is_ref else F.lit(self.rhs)
         if self.delta:
             rhs = rhs + F.lit(self.delta)
-        return {
-            "=": lhs == rhs,
-            "!=": lhs != rhs,
-            "<": lhs < rhs,
-            "<=": lhs <= rhs,
-            ">": lhs > rhs,
-            ">=": lhs >= rhs,
-        }[self.op]
+        return COMPARE[self.op](lhs, rhs)
 
     def to_sql(self, resolve: Callable[[Ref], str]) -> str:
         lhs = resolve(self.lhs)

@@ -32,6 +32,7 @@ from pyspark.sql import functions as F
 from pyspark.sql.window import Window
 
 from repro.core.config import IndexConfig
+from repro.core.probes import ListAccess, ListIndex, entry_cond
 from repro.graphs.schema import PropertyGraph
 
 
@@ -61,7 +62,7 @@ def canonical_order_cols(config: IndexConfig) -> list[str]:
 
 
 @dataclass
-class DefaultIndex:
+class DefaultIndex(ListIndex):
     """One direction of the system's default A+ index."""
 
     name: str
@@ -76,22 +77,25 @@ class DefaultIndex:
     def direction(self) -> str:
         return self.config.direction
 
-    def granular_lists(self, part_eq: dict[str, object]) -> DataFrame:
-        """Lists narrowed by equality on partition columns.
+    def _entries(self, access: ListAccess) -> tuple[Column, Column]:
+        if not access.array_preds:
+            # build-time nbr_ids: no per-element lambda on the hot
+            # intersection path
+            return F.col("lst"), F.col("nbr_ids")
+        lst = F.filter(
+            F.col("lst"), lambda s: entry_cond(lambda f: s[f], access.array_preds)
+        )
+        return lst, F.transform(lst, lambda s: s["nbr"])
 
-        Keys must be partition columns of this index — the analog of
-        descending the CSR layers without evaluating predicates.
-        """
-        bad = set(part_eq) - set(self.config.partition_cols)
-        if bad:
-            raise KeyError(
-                f"{sorted(bad)} are not partition columns of index "
-                f"{self.name!r} (has {self.config.partition_cols})"
-            )
-        df = self.lists
-        for c, v in part_eq.items():
-            df = df.where(F.col(c).eqNullSafe(F.lit(v)))
-        return df
+    def vertex_probe(self, tag: str) -> DataFrame:
+        """Each vertex's whole ID list, ``__vk<tag>`` → ``__vl<tag>``:
+        what offset lists' positions index into."""
+        return self._cached(
+            ("vertex", tag),
+            lambda: self.vertex_lists.select(
+                F.col("pk").alias(f"__vk{tag}"), F.col("lst").alias(f"__vl{tag}")
+            ),
+        )
 
     @cached_property
     def memory_bytes(self) -> int:
@@ -162,14 +166,3 @@ def build_default_index(
         struct_fields=struct_fields,
     )
 
-
-def gather(vertex_lists_col: Column, offsets_col: Column) -> Column:
-    """Resolve an offset list against a vertex's ID-list array.
-
-    ``element_at`` is 1-based; offsets are 0-based positions (``pos``).
-    This is the engine-layer analog of reading ID lists through offset
-    lists — a per-entry indirection, paid at query time.
-    """
-    return F.transform(
-        offsets_col, lambda o: F.element_at(vertex_lists_col, o + 1)
-    )

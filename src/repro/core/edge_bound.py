@@ -24,6 +24,7 @@ from pyspark.sql import functions as F
 
 from repro.core.config import IndexConfig
 from repro.core.default_index import DefaultIndex
+from repro.core.probes import OffsetListIndex
 from repro.core.views import TwoPathView
 from repro.core.vertex_bound import _canon_prop
 
@@ -54,8 +55,10 @@ def twopath_entity_resolver(anchor: str):
 
 
 @dataclass
-class EdgeBoundIndex:
+class EdgeBoundIndex(OffsetListIndex):
     """A secondary edge-bound A+ index."""
+
+    _key, _anchor = "bid", "anchor"
 
     name: str
     view: TwoPathView
@@ -68,17 +71,6 @@ class EdgeBoundIndex:
     @property
     def orientation(self):
         return self.view.orientation
-
-    def granular_lists(self, part_eq: dict[str, object]) -> DataFrame:
-        bad = set(part_eq) - set(self.config.partition_cols)
-        if bad:
-            raise KeyError(
-                f"{sorted(bad)} not partition columns of {self.name!r}"
-            )
-        df = self.lists
-        for c, v in part_eq.items():
-            df = df.where(F.col(c).eqNullSafe(F.lit(v)))
-        return df
 
     @cached_property
     def num_entries(self) -> int:

@@ -23,6 +23,7 @@ from pyspark.sql import functions as F
 
 from repro.core.config import IndexConfig
 from repro.core.default_index import DefaultIndex
+from repro.core.probes import OffsetListIndex
 from repro.core.views import EdgeView
 
 
@@ -54,7 +55,7 @@ def view_entity_resolver(base: DefaultIndex):
 
 
 @dataclass
-class VertexBoundIndex:
+class VertexBoundIndex(OffsetListIndex):
     """One direction of a secondary vertex-bound A+ index."""
 
     name: str
@@ -77,17 +78,6 @@ class VertexBoundIndex:
             not self.view.predicates
             and self.config.partition_by == self.base.config.partition_by
         )
-
-    def granular_lists(self, part_eq: dict[str, object]) -> DataFrame:
-        bad = set(part_eq) - set(self.config.partition_cols)
-        if bad:
-            raise KeyError(
-                f"{sorted(bad)} not partition columns of {self.name!r}"
-            )
-        df = self.lists
-        for c, v in part_eq.items():
-            df = df.where(F.col(c).eqNullSafe(F.lit(v)))
-        return df
 
     @cached_property
     def num_entries(self) -> int:

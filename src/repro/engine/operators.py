@@ -25,24 +25,27 @@ Operators:
   vertex-property lookup.
 
 Every list lookup and property-store read is an index probe, not a
-repartitioning join: the index or property-store side is marked with
-``F.broadcast`` as the hash-join build side, and the matches stay in
-place.
+repartitioning join: the index or property-store side is a cached,
+broadcast probe table (``repro.core.probes``, ``PropertyGraph.bind_*``)
+that is built once and reused by every plan, and the matches stay in
+place.  Operators carry the matches' own columns forward with
+``matches["*"]``, so probe keys and list arrays never reach an
+operator's output.
 """
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
-from typing import Any
+import operator
+from dataclasses import dataclass
 
 from pyspark.sql import Column, DataFrame
 from pyspark.sql import functions as F
 
 from repro.core.config import Atom
-from repro.core.default_index import DefaultIndex, gather
 from repro.core.edge_bound import EdgeBoundIndex
 from repro.core.index_store import IndexStore
-from repro.core.vertex_bound import VertexBoundIndex, _canon_prop
+from repro.core.probes import ListAccess, ListIndex, OffsetListIndex
+from repro.core.vertex_bound import _canon_prop
 from repro.graphs.schema import PropertyGraph
 
 
@@ -57,142 +60,39 @@ class EngineContext:
 # ---------------------------------------------------------------------------
 # list access
 
-#: (struct field, op, literal) — evaluated inside the list array
-ArrayPred = tuple[str, str, Any]
 
-
-@dataclass(frozen=True)
-class ListAccess:
-    """How one adjacency list is read: which index, which granular list
-    (partition-column equalities), and which sorted-array prunes."""
-
-    index: str
-    part_eq: tuple[tuple[str, Any], ...] = ()
-    array_preds: tuple[ArrayPred, ...] = ()
-
-    def describe(self) -> str:
-        parts = [self.index]
-        if self.part_eq:
-            parts.append(",".join(f"{c}={v}" for c, v in self.part_eq))
-        if self.array_preds:
-            parts.append(",".join(f"{f}{o}{v}" for f, o, v in self.array_preds))
-        return "[" + " ".join(parts) + "]"
-
-
-def _cmp(lhs: Column, op: str, rhs: Column) -> Column:
-    return {
-        "=": lhs == rhs, "!=": lhs != rhs, "<": lhs < rhs,
-        "<=": lhs <= rhs, ">": lhs > rhs, ">=": lhs >= rhs,
-    }[op]
-
-
-def _apply_array_preds(arr: Column, preds: tuple[ArrayPred, ...]) -> Column:
-    if not preds:
-        return arr
-    def cond(s: Column) -> Column:
-        return functools.reduce(
-            lambda acc, p: acc & _cmp(s[p[0]], p[1], F.lit(p[2])),
-            preds,
-            F.lit(True),
-        )
-    return F.filter(arr, cond)
-
-
-def _offset_gather(idx, access: ListAccess) -> tuple[Column, tuple, tuple]:
-    """Entry-array expression for an offset-list index.
-
-    When every array predicate targets the index's sort keys, positions
-    are pruned on the aligned ``skeys`` array *before* the ID-list
-    gather — the engine analog of binary-searching a sorted list: only
-    qualifying entries are ever read (Section 3).  Sort-key values that
-    the base ID list does not carry are merged into the gathered
-    entries (the index *is* the structure that knows them).  Returns
-    (array column, predicates still needing post-gather evaluation,
-    entry struct fields).
-    """
-    base_fields = idx.base.struct_fields
-    skey_fields = tuple(idx.config.sort_cols)
-    extras = tuple(c for c in skey_fields if c not in base_fields)
-    preds = access.array_preds
-    prune = bool(
-        preds and skey_fields
-        and all(f in skey_fields for f, _, _ in preds)
-    )
-    if prune:
-        z = F.arrays_zip(F.col("skeys"), F.col("offsets"))
-
-        def cond(t: Column) -> Column:
-            return functools.reduce(
-                lambda acc, p: acc
-                & _cmp(t["skeys"][p[0]], p[1], F.lit(p[2])),
-                preds,
-                F.lit(True),
-            )
-
-        kept = F.filter(z, cond)
-        offs = F.transform(kept, lambda t: t["offsets"])
-        skf = F.transform(kept, lambda t: t["skeys"])
-        residual: tuple = ()
-    else:
-        offs, skf, residual = F.col("offsets"), F.col("skeys"), preds
-    arr = gather(F.col("ref"), offs)
-    if extras:
-        arr = F.zip_with(
-            arr, skf,
-            lambda s, k: F.struct(
-                *[s[f].alias(f) for f in base_fields],
-                *[k[f].alias(f) for f in extras],
-            ),
-        )
-    return arr, residual, base_fields + extras
-
-
-def _attach(
+def _probe_join(
     ctx: EngineContext,
     matches: DataFrame,
     from_var: str,
     access: ListAccess,
     tag: str,
-) -> tuple[DataFrame, str, tuple[str, ...]]:
-    """Join ``matches`` with one (possibly granular) list table.
-
-    Returns (joined df, name of the attached array column, struct
-    fields of the array's entries).  Offset-list indexes resolve their
-    entries here, at query time, through the ``gather`` indirection.
-    """
+) -> tuple[DataFrame, ListIndex]:
+    """Join ``matches`` with the probe table of ``access`` (one row per
+    list, ``__k<tag>``/``__arr<tag>``/``__nbr<tag>``; see
+    ``repro.core.probes``).  Returns the joined DataFrame and the index.
+    Offset-list indexes resolve their entries here, at query time,
+    through the ``gather`` indirection of the probe table."""
     idx = ctx.store.by_name(access.index)
-    k, a = f"__k{tag}", f"__arr{tag}"
-    residual = access.array_preds
-    if isinstance(idx, DefaultIndex):
-        ldf = idx.granular_lists(dict(access.part_eq)).select(
-            F.col("pk").alias(k), F.col("lst").alias(a)
-        )
-        key_col, fields = from_var, idx.struct_fields
-    elif isinstance(idx, VertexBoundIndex):
-        arr, residual, fields = _offset_gather(idx, access)
-        ldf = idx.granular_lists(dict(access.part_eq)).select(
-            F.col("pk").alias(k), arr.alias(a)
-        )
-        key_col = from_var
-    elif isinstance(idx, EdgeBoundIndex):
-        arr, residual, fields = _offset_gather(idx, access)
-        ldf = idx.granular_lists(dict(access.part_eq)).select(
-            F.col("bid").alias(k), arr.alias(a)
-        )
-        key_col = f"{from_var}__eid"
-    else:  # pragma: no cover - registry guarantees the three kinds
-        raise TypeError(type(idx))
+    key_col = _key_col(matches, idx, from_var)
+    out = matches.join(
+        idx.probe(access, tag), matches[key_col] == F.col(f"__k{tag}"), "inner"
+    )
+    return out, idx
+
+
+def _key_col(matches: DataFrame, idx: ListIndex, from_var: str) -> str:
+    """The match column that keys ``idx``'s lists from ``from_var``:
+    the vertex id, or the edge id for edge-bound lists."""
+    key_col = (
+        f"{from_var}__eid" if isinstance(idx, EdgeBoundIndex) else from_var
+    )
     if key_col not in matches.columns:
         raise KeyError(
             f"variable column {key_col!r} not bound yet "
             f"(have {sorted(matches.columns)})"
         )
-    out = matches.join(
-        F.broadcast(ldf), matches[key_col] == F.col(k), "inner"
-    ).drop(k)
-    if residual:
-        out = out.withColumn(a, _apply_array_preds(F.col(a), residual))
-    return out, a, fields
+    return key_col
 
 
 def _entry_projection(
@@ -224,10 +124,8 @@ def _fetch_missing_props(
     partitioning, sorting, and secondary-index views let plans avoid.
     """
     cols = set(df.columns)
-    vprops = {c for c in ctx.graph.vertices.columns if c != "vid"}
-    eprops = {
-        c for c in ctx.graph.edges.columns if c not in ("eid", "src", "dst")
-    }
+    vprops = set(ctx.graph.vertex_props)
+    eprops = set(ctx.graph.edge_props)
     need_v: dict[str, set] = {}
     need_e: dict[str, set] = {}
 
@@ -245,21 +143,11 @@ def _fetch_missing_props(
         if a.rhs_is_ref:
             visit(a.rhs)
     for var, props in sorted(need_e.items()):
-        et = ctx.graph.edges.select(
-            F.col("eid").alias("__fe"),
-            *[F.col(p).alias(f"{var}__{p}") for p in sorted(props)],
-        )
-        df = df.join(
-            F.broadcast(et), df[f"{var}__eid"] == F.col("__fe"), "inner"
-        ).drop("__fe")
+        df = df.join(ctx.graph.bind_edges(var, tuple(sorted(props))),
+                     f"{var}__eid")
     for var, props in sorted(need_v.items()):
-        vt = ctx.graph.vertices.select(
-            F.col("vid").alias("__fv"),
-            *[F.col(p).alias(f"{var}__{p}") for p in sorted(props)],
-        )
-        df = df.join(
-            F.broadcast(vt), df[var] == F.col("__fv"), "inner"
-        ).drop("__fv")
+        df = df.join(ctx.graph.bind_vertices(var, tuple(sorted(props)),
+                                             probe=True), var)
     return df
 
 
@@ -280,9 +168,8 @@ def resolve_ref(columns: list[str], ref: tuple[str, str]) -> Column:
 def compile_atoms(df: DataFrame, atoms: tuple[Atom, ...]) -> Column:
     cols = df.columns
     return functools.reduce(
-        lambda acc, a: acc & a.to_spark(lambda r: resolve_ref(cols, r)),
-        atoms,
-        F.lit(True),
+        operator.and_,
+        (a.to_spark(lambda r: resolve_ref(cols, r)) for a in atoms),
     )
 
 
@@ -301,12 +188,8 @@ class Scan:
     def apply(self, ctx: EngineContext, matches: DataFrame | None) -> DataFrame:
         if matches is not None:
             raise ValueError("Scan must be the first operator of a plan")
-        v = ctx.graph.vertices
-        props = [c for c in v.columns if c != "vid"]
-        df = v.select(
-            F.col("vid").alias(self.var),
-            *[F.col(p).alias(f"{self.var}__{p}") for p in props],
-        )
+        g = ctx.graph
+        df = g.bind_vertices(self.var, tuple(g.vertex_props))
         if self.vlabel is not None:
             df = df.where(F.col(f"{self.var}__vlabel") == self.vlabel)
         if self.preds:
@@ -330,88 +213,47 @@ class Extend:
 
     def apply(self, ctx: EngineContext, matches: DataFrame) -> DataFrame:
         idx = ctx.store.by_name(self.access.index)
-        if (
-            isinstance(idx, (VertexBoundIndex, EdgeBoundIndex))
-            and self.access.array_preds
-            and all(f in idx.config.sort_cols
-                    for f, _, _ in self.access.array_preds)
-        ):
-            df = self._row_mode(ctx, matches, idx)
+        if isinstance(idx, OffsetListIndex) and idx.prunes(self.access):
+            df = self._row_mode(matches, idx)
         else:
-            df, a, fields = _attach(
-                ctx, matches, self.from_var, self.access, "0"
-            )
-            x = F.explode(F.col(a))
-            keep = [c for c in df.columns if c != a]
-            df = df.select(*keep, x.alias("__x"))
+            df, idx = _probe_join(ctx, matches, self.from_var, self.access, "0")
+            df = df.select(matches["*"], F.explode("__arr0").alias("__x"))
             df = df.select(
-                *keep,
-                *_entry_projection(F.col("__x"), fields, self.to_var,
-                                   self.edge_var),
+                matches["*"],
+                *_entry_projection(F.col("__x"), idx.struct_fields,
+                                   self.to_var, self.edge_var),
             )
         if self.post_preds:
             df = _fetch_missing_props(ctx, df, self.post_preds)
             df = df.where(compile_atoms(df, self.post_preds))
         return df
 
-    def _row_mode(
-        self, ctx: EngineContext, matches: DataFrame, idx
-    ) -> DataFrame:
+    def _row_mode(self, matches: DataFrame, idx: OffsetListIndex) -> DataFrame:
         """Sorted-offset-list access via the row form: the range
         predicate on the index's sort keys selects qualifying
         (list, position) rows before any per-match work — the engine's
         binary-search analog — and only those entries are resolved
         through the ID-list indirection (``element_at``)."""
-        fl = idx.flat_offsets
-        for c, v in self.access.part_eq:
-            fl = fl.where(F.col(c).eqNullSafe(F.lit(v)))
-        for f_, op, v in self.access.array_preds:
-            fl = fl.where(_cmp(F.col(f_), op, F.lit(v)))
+        key_col = _key_col(matches, idx, self.from_var)
+        df = matches.join(
+            idx.row_probe(self.access, "0"),
+            matches[key_col] == F.col("__k0"), "inner",
+        ).join(
+            idx.base.vertex_probe("0"), F.col("__a0") == F.col("__vk0"), "inner"
+        )
+        entry = F.element_at(F.col("__vl0"), F.col("__p0") + 1)
         # the index's sort-key values ride along (it is the structure
         # that stores them; other properties still cost a fetch)
         skeys = [
-            F.col(c).alias(
+            F.col(f"__{c}0").alias(
                 f"{self.to_var}__{c[4:]}" if c.startswith("nbr_")
                 else f"{self.edge_var}__{c}"
             )
-            for c in idx.config.sort_cols
-            # keys the base ID-list entry already provides are projected
-            # from the entry itself, not duplicated here
-            if c not in idx.base.struct_fields
-        ]
-        if isinstance(idx, VertexBoundIndex):
-            key_col, anchor = self.from_var, F.col("__k0")
-            fl = fl.select(
-                F.col("pk").alias("__k0"), F.col("pos").alias("__p0"), *skeys
-            )
-        else:
-            key_col = f"{self.from_var}__eid"
-            fl = fl.select(
-                F.col("bid").alias("__k0"),
-                F.col("anchor").alias("__a0"),
-                F.col("pos").alias("__p0"),
-                *skeys,
-            )
-            anchor = F.col("__a0")
-        if key_col not in matches.columns:
-            raise KeyError(
-                f"variable column {key_col!r} not bound yet "
-                f"(have {sorted(matches.columns)})"
-            )
-        df = matches.join(
-            F.broadcast(fl), matches[key_col] == F.col("__k0"), "inner"
-        )
-        vl = idx.base.vertex_lists.select(
-            F.col("pk").alias("__vk0"), F.col("lst").alias("__vl0")
-        )
-        df = df.join(F.broadcast(vl), anchor == F.col("__vk0"), "inner")
-        entry = F.element_at(F.col("__vl0"), F.col("__p0") + 1)
-        keep = [
-            c for c in df.columns
-            if c not in ("__k0", "__a0", "__p0", "__vk0", "__vl0")
+            for c in idx.extra_sort_cols
         ]
         return df.select(
-            *keep,
+            matches["*"],
+            *skeys,
             *_entry_projection(entry, idx.base.struct_fields, self.to_var,
                                self.edge_var),
         )
@@ -434,19 +276,19 @@ class CloseExtend:
     post_preds: tuple[Atom, ...] = ()
 
     def apply(self, ctx: EngineContext, matches: DataFrame) -> DataFrame:
-        df, a, fields = _attach(ctx, matches, self.from_var, self.access, "0")
+        df, idx = _probe_join(ctx, matches, self.from_var, self.access, "0")
         # explode-then-filter keeps the probe inside Spark's code
         # generation (an array-filter lambda is interpreted per element
         # and an order of magnitude slower on large inputs)
-        keep = [c for c in df.columns if c != a]
-        df = df.select(*keep, F.explode(F.col(a)).alias("__x"))
-        df = df.where(F.col("__x")["nbr"] == F.col(self.to_existing))
-        cols = [F.col("__x")["eid"].alias(f"{self.edge_var}__eid")]
-        for f_ in fields:
+        df = df.select(matches["*"], F.explode("__arr0").alias("__x"))
+        x = F.col("__x")
+        df = df.where(x["nbr"] == F.col(self.to_existing))
+        cols = [x["eid"].alias(f"{self.edge_var}__eid")]
+        for f_ in idx.struct_fields:
             if f_ in ("eid", "nbr") or f_.startswith("nbr_"):
                 continue
-            cols.append(F.col("__x")[f_].alias(f"{self.edge_var}__{f_}"))
-        df = df.select(*keep, *cols)
+            cols.append(x[f_].alias(f"{self.edge_var}__{f_}"))
+        df = df.select(matches["*"], *cols)
         if self.post_preds:
             df = _fetch_missing_props(ctx, df, self.post_preds)
             df = df.where(compile_atoms(df, self.post_preds))
@@ -478,35 +320,13 @@ class IntersectExtend:
 
     def apply(self, ctx: EngineContext, matches: DataFrame) -> DataFrame:
         df = matches
-        arrs: list[str] = []
         for i, (from_var, access) in enumerate(self.sources):
-            idx = ctx.store.by_name(access.index)
-            a = f"__arr{i}"
-            if isinstance(idx, DefaultIndex) and not access.array_preds:
-                # read the build-time nbr_ids arrays (no per-element
-                # lambda on the hot intersection path)
-                k = f"__k{i}"
-                ldf = idx.granular_lists(dict(access.part_eq)).select(
-                    F.col("pk").alias(k), F.col("nbr_ids").alias(a)
-                )
-                if from_var not in df.columns:
-                    raise KeyError(
-                        f"variable column {from_var!r} not bound yet"
-                    )
-                df = df.join(
-                    F.broadcast(ldf), df[from_var] == F.col(k), "inner"
-                ).drop(k)
-            else:
-                df, a, _ = _attach(ctx, df, from_var, access, str(i))
-                df = df.withColumn(
-                    a, F.transform(F.col(a), lambda s: s["nbr"])
-                )
-            arrs.append(a)
+            df, _ = _probe_join(ctx, df, from_var, access, str(i))
         cands = functools.reduce(
-            lambda x, y: F.array_intersect(x, y), [F.col(a) for a in arrs]
+            F.array_intersect,
+            [F.col(f"__nbr{i}") for i in range(len(self.sources))],
         )
-        keep = [c for c in df.columns if c not in arrs]
-        return df.select(*keep, F.explode(cands).alias(self.to_var))
+        return df.select(matches["*"], F.explode(cands).alias(self.to_var))
 
     def describe(self) -> str:
         srcs = " ∩ ".join(f"{v}{a.describe()}" for v, a in self.sources)
@@ -539,34 +359,33 @@ class MultiExtend:
 
     def apply(self, ctx: EngineContext, matches: DataFrame) -> DataFrame:
         df = matches
-        arrs: list[tuple[str, tuple[str, ...]]] = []
+        fields: list[tuple[str, ...]] = []
         for i, t in enumerate(self.targets):
-            df, a, fields = _attach(ctx, df, t.from_var, t.access, str(i))
-            arrs.append((a, fields))
+            df, idx = _probe_join(ctx, df, t.from_var, t.access, str(i))
+            fields.append(idx.struct_fields)
         # Explode the first list; probe the others with a sorted-key
         # equality filter (the merge-intersection analog), then explode.
-        arr_cols = [a for a, _ in arrs]
-        key = None
-        for i, (a, _fields) in enumerate(arrs):
-            keep = [c for c in df.columns if c != a]
-            if i == 0:
-                df = df.select(*keep, F.explode(F.col(a)).alias("__x0"))
-                key = F.col("__x0")[self.key_field]
-            else:
-                k = key
-                probe = F.filter(F.col(a), lambda s: s[self.key_field] == k)
-                df = df.select(*keep, F.explode(probe).alias(f"__x{i}"))
-        # project all targets' new columns, drop temporaries
-        keep = [
-            c for c in df.columns
-            if not c.startswith("__x") and c not in arr_cols
-        ]
-        newcols: list[Column] = []
-        for i, (t, (a, fields)) in enumerate(zip(self.targets, arrs)):
-            newcols.extend(
-                _entry_projection(F.col(f"__x{i}"), fields, t.to_var, t.edge_var)
+        n = len(self.targets)
+        key = F.col("__x0")[self.key_field]
+        for i in range(n):
+            arr = F.col(f"__arr{i}")
+            if i:
+                arr = F.filter(arr, lambda s: s[self.key_field] == key)
+            df = df.select(
+                matches["*"],
+                *[f"__x{j}" for j in range(i)],
+                *[f"__arr{j}" for j in range(i + 1, n)],
+                F.explode(arr).alias(f"__x{i}"),
             )
-        df = df.select(*keep, *newcols)
+        df = df.select(
+            matches["*"],
+            *[
+                c
+                for i, t in enumerate(self.targets)
+                for c in _entry_projection(F.col(f"__x{i}"), fields[i],
+                                           t.to_var, t.edge_var)
+            ],
+        )
         if self.post_preds:
             df = _fetch_missing_props(ctx, df, self.post_preds)
             df = df.where(compile_atoms(df, self.post_preds))
@@ -599,18 +418,14 @@ class FetchProps:
     var: str
 
     def apply(self, ctx: EngineContext, matches: DataFrame) -> DataFrame:
-        v = ctx.graph.vertices
-        props = [
-            c for c in v.columns
-            if c != "vid" and f"{self.var}__{c}" not in matches.columns
-        ]
-        vt = v.select(
-            F.col("vid").alias("__fv"),
-            *[F.col(p).alias(f"{self.var}__{p}") for p in props],
+        have = set(matches.columns)
+        props = tuple(
+            p for p in ctx.graph.vertex_props
+            if f"{self.var}__{p}" not in have
         )
         return matches.join(
-            F.broadcast(vt), matches[self.var] == F.col("__fv"), "inner"
-        ).drop("__fv")
+            ctx.graph.bind_vertices(self.var, props, probe=True), self.var
+        )
 
     def describe(self) -> str:
         return f"FETCH({self.var})"

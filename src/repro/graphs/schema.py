@@ -19,6 +19,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 from pyspark.sql import DataFrame
+from pyspark.sql import functions as F
 
 VERTEX_KEY_COLS = ("vid", "vlabel")
 EDGE_KEY_COLS = ("eid", "src", "dst", "elabel")
@@ -57,6 +58,35 @@ class PropertyGraph:
     def edge_props(self) -> list[str]:
         """Edge property columns (everything except ids/endpoints)."""
         return [c for c in self.edges.columns if c not in ("eid", "src", "dst")]
+
+    def bind_vertices(
+        self, var: str, props: tuple[str, ...], *, probe: bool = False
+    ) -> DataFrame:
+        """The vertex table as the match columns of vertex variable
+        ``var``: ``vid`` as ``var``, each of ``props`` as
+        ``var__<prop>``.  With ``probe`` it is marked as a broadcast
+        hash-join build side (a property-store read)."""
+        return self._bind(self.vertices, "vid", var, var, props, probe)
+
+    def bind_edges(self, var: str, props: tuple[str, ...]) -> DataFrame:
+        """The edge table as a broadcast probe side for edge variable
+        ``var``: ``eid`` as ``var__eid``, each of ``props`` as
+        ``var__<prop>``."""
+        return self._bind(self.edges, "eid", f"{var}__eid", var, props, True)
+
+    def _bind(self, table: DataFrame, id_col: str, key: str, var: str,
+              props: tuple[str, ...], probe: bool) -> DataFrame:
+        """Built once per (table, var, props, probe) and reused by every
+        plan, so a plan build does not re-derive the projection."""
+        bound = self.__dict__.setdefault("_bindings", {})
+        k = (id_col, var, props, probe)
+        if k not in bound:
+            df = table.select(
+                F.col(id_col).alias(key),
+                *[F.col(p).alias(f"{var}__{p}") for p in props],
+            )
+            bound[k] = F.broadcast(df) if probe else df
+        return bound[k]
 
     @cached_property
     def num_vertices(self) -> int:

@@ -5,8 +5,9 @@ import pytest
 from pyspark.sql import functions as F
 
 from repro.core.config import EDGE, NBR, Atom, IndexConfig, graphflow_default
-from repro.core.default_index import build_default_index, gather
+from repro.core.default_index import build_default_index
 from repro.core.edge_bound import build_edge_bound
+from repro.core.probes import gather
 from repro.core.views import (
     DST_BW,
     DST_FW,

@@ -11,6 +11,7 @@ from repro.core.config import EDGE, NBR, Atom, IndexConfig, graphflow_default
 from repro.core.default_index import build_default_index
 from repro.core.edge_bound import build_edge_bound
 from repro.core.index_store import IndexStore
+from repro.core.probes import ListIndex
 from repro.core.vertex_bound import build_vertex_bound
 from repro.core.views import DST_FW, EdgeView, TwoPathView
 from repro.engine.operators import (
@@ -30,6 +31,7 @@ from repro.engine.plans import Plan
 from repro.graphs.example import example_graph
 from repro.graphs.financial import decorate_financial
 from repro.graphs.generators import dataset
+from repro.graphs.schema import PropertyGraph
 from tests.util import check_pattern
 
 
@@ -328,8 +330,9 @@ _JOIN = re.compile(
     r"\b(BroadcastHashJoin|SortMergeJoin|ShuffledHashJoin"
     r"|BroadcastNestedLoopJoin) (\[.*?\]), (\[.*?\])"
 )
-#: join keys the operators give the index or property-store side
-_PROBE_KEY = re.compile(r"\b__(k\d+|vk\d+|fv|fe)#")
+#: join keys the operators give the index side
+_PROBE_KEY = re.compile(r"\b__(k\d+|vk\d+)#")
+_KEY_NAME = re.compile(r"(\w+)#\d+")
 
 
 def _probe_joins(df, capsys) -> list[str]:
@@ -337,7 +340,9 @@ def _probe_joins(df, capsys) -> list[str]:
     from ``DataFrame.explain()``.  The plan also prints the build plans
     of the cached index tables (under ``InMemoryRelation``), whose
     build-time joins ran once, not per query; operator joins are told
-    apart by the key they probe the index or property store with."""
+    apart by their keys: index probes key the index side ``__k<i>`` or
+    ``__vk<i>``, and property-store reads join on the match variable's
+    own column, so both sides' keys have the same names."""
     df.collect()
     capsys.readouterr()
     df.explain()
@@ -345,6 +350,7 @@ def _probe_joins(df, capsys) -> list[str]:
         strategy
         for strategy, left, right in _JOIN.findall(capsys.readouterr().out)
         if _PROBE_KEY.search(left + right)
+        or _KEY_NAME.findall(left) == _KEY_NAME.findall(right)
     ]
 
 
@@ -400,6 +406,102 @@ _ACCESS_PATHS = {
         FetchProps("a2"),
     ),
 }
+
+
+def _mf(e: str) -> tuple[Atom, ...]:
+    """The EB.mf view's predicates on the 2-path ``e1`` -> ``e``."""
+    return (
+        Atom(("e1", "date"), "<", (e, "date")),
+        Atom((e, "amt"), "<", ("e1", "amt")),
+        Atom((e, "vid"), "!=", ("e1", "vid")),
+    )
+
+
+_A12 = QEdge("e1", "a1", "a2")
+
+#: the pattern each access path's plan answers, and its edges to compare
+_ACCESS_QUERIES = {
+    "default-granular": (
+        QueryGraph("dg", (QVertex("a1"), QVertex("a2")),
+                   (QEdge("e1", "a1", "a2", "W"),)),
+        ("e1",),
+    ),
+    "nbr-ids-intersection": (
+        QueryGraph("tri", (QVertex("a1"), QVertex("a2"), QVertex("a3")),
+                   (_A12, QEdge("e2", "a2", "a3"), QEdge("e3", "a3", "a1"))),
+        ("e1",),
+    ),
+    "vb-array-gather": (
+        QueryGraph("vg", (QVertex("a1"), QVertex("a2")),
+                   (QEdge("e1", "a1", "a2", "DD"),)),
+        ("e1",),
+    ),
+    "vb-row-mode": (
+        QueryGraph("vr", (QVertex("a1"), QVertex("a2")),
+                   (QEdge("e1", "a1", "a2", "W"),),
+                   (Atom(("e1", "amt"), ">", 700.0),)),
+        ("e1",),
+    ),
+    "eb-row-mode": (
+        QueryGraph("er", (QVertex("a1"), QVertex("a2"), QVertex("a3")),
+                   (_A12, QEdge("e2", "a2", "a3")),
+                   _mf("e2") + (Atom(("a3", "city"), "=", "Toronto"),)),
+        ("e1", "e2"),
+    ),
+    "eb-gather": (
+        QueryGraph("eg", (QVertex("a1"), QVertex("a2"), QVertex("a3")),
+                   (_A12, QEdge("e2", "a2", "a3")), _mf("e2")),
+        ("e1", "e2"),
+    ),
+    "multi-extend": (
+        QueryGraph(
+            "me",
+            (QVertex("a1"), QVertex("a2"), QVertex("a3"), QVertex("a4")),
+            (_A12, QEdge("e2", "a2", "a3"), QEdge("e3", "a2", "a4")),
+            _mf("e2") + _mf("e3")
+            + (Atom(("a3", "city"), "=", ("a4", "city")),),
+        ),
+        ("e1", "e2", "e3"),
+    ),
+    "filter-fetch": (
+        QueryGraph("ff", (QVertex("a1"), QVertex("a2")), (_A12,),
+                   (Atom(("a2", "city"), "=", "Toronto"),
+                    Atom(("e1", "amt"), ">", 100.0))),
+        ("e1",),
+    ),
+    "fetch-props": (
+        QueryGraph("fp", (QVertex("a1"), QVertex("a2")), (_A12,)),
+        ("e1",),
+    ),
+}
+
+
+@pytest.mark.parametrize("path", sorted(_ACCESS_PATHS))
+def test_probe_tables_are_reused(ctx, g, monkeypatch, path):
+    """A second build of the same plan reuses every probe table of the
+    first (the identical DataFrame objects: index lists, row forms,
+    vertex lists and property-store bindings), and its answer still
+    equals the oracle's."""
+    used: list = []
+
+    def recording(build):
+        def wrapper(self, *args):
+            df = build(self, *args)
+            used.append(df)
+            return df
+        return wrapper
+
+    monkeypatch.setattr(ListIndex, "_cached", recording(ListIndex._cached))
+    monkeypatch.setattr(PropertyGraph, "_bind", recording(PropertyGraph._bind))
+    plan = Plan(path, (Scan("a1"),) + _ACCESS_PATHS[path])
+    plan.execute(ctx)
+    first = used[:]
+    used.clear()
+    df = plan.execute(ctx)
+    assert len(first) > 1 and len(used) == len(first)
+    assert all(a is b for a, b in zip(first, used))
+    q, edges = _ACCESS_QUERIES[path]
+    check_pattern(df, q, g, project_edges=edges)
 
 
 @pytest.mark.parametrize("path", sorted(_ACCESS_PATHS))

@@ -4,7 +4,8 @@ import pytest
 from pyspark.sql import functions as F
 
 from repro.core.config import EDGE, NBR, Atom, IndexConfig, graphflow_default
-from repro.core.default_index import build_default_index, gather
+from repro.core.default_index import build_default_index
+from repro.core.probes import gather
 from repro.core.vertex_bound import build_vertex_bound
 from repro.core.views import EdgeView
 from repro.graphs.example import example_graph
