@@ -1,6 +1,6 @@
 """Default A+ indexes (Section 2.1) as materialized Spark DataFrames.
 
-A default index (one per direction) is built in three cached artifacts:
+A default index (one per direction) caches two artifacts:
 
 * ``flat`` — one row per adjacent edge: ``pk`` (the partitioning
   vertex), ``nbr``, ``eid``, all edge properties, neighbour vertex
@@ -13,9 +13,12 @@ A default index (one per direction) is built in three cached artifacts:
   as an array of structs.  Partition-column equality predicates become
   *lookup keys* here (constant-time granular-list access); sort columns
   order the array (binary-search-style access via array pruning).
-* ``vertex_lists`` — one row per vertex with the full neighbourhood
-  array in ``pos`` order (the contiguous CSR neighbourhood that offset
-  lists index into).
+
+``vertex_lists`` — one row per vertex with the full neighbourhood
+array in ``pos`` order (the contiguous CSR neighbourhood that offset
+lists index into) — is derived from the cached ``flat`` and is not
+cached itself: only secondary-index builds read it, to store each
+list's ``ref``.
 
 Canonical order within a vertex is ``(partition cols, sort cols, eid)``
 ascending, nulls first (Spark struct comparison places nulls first;
@@ -87,16 +90,6 @@ class DefaultIndex(ListIndex):
         )
         return lst, F.transform(lst, lambda s: s["nbr"])
 
-    def vertex_probe(self, tag: str) -> DataFrame:
-        """Each vertex's whole ID list, ``__vk<tag>`` → ``__vl<tag>``:
-        what offset lists' positions index into."""
-        return self._cached(
-            ("vertex", tag),
-            lambda: self.vertex_lists.select(
-                F.col("pk").alias(f"__vk{tag}"), F.col("lst").alias(f"__vl{tag}")
-            ),
-        )
-
     @cached_property
     def memory_bytes(self) -> int:
         """Structural size per the storage model (for Mm columns)."""
@@ -105,7 +98,7 @@ class DefaultIndex(ListIndex):
         return default_index_bytes(self)
 
     def unpersist(self) -> None:
-        for df in (self.flat, self.lists, self.vertex_lists):
+        for df in (self.flat, self.lists):
             df.unpersist()
 
 
@@ -146,16 +139,14 @@ def build_default_index(
         # WCO intersections read them without per-element lambdas
         .withColumn("nbr_ids", F.expr("transform(lst, s -> s.nbr)"))
     )
-    vertex_lists = (
-        flat.groupBy("pk")
-        .agg(F.sort_array(F.collect_list(entry)).alias("lst"))
-    )
-
     flat = flat.repartition("pk").persist()
     lists = lists.repartition("pk").persist()
-    vertex_lists = vertex_lists.repartition("pk").persist()
     # Materialize now so benchmarks time queries, not index builds.
-    flat.count(), lists.count(), vertex_lists.count()
+    flat.count(), lists.count()
+    # offsets index the whole neighbourhood, in ``pos`` order
+    vertex_lists = flat.groupBy("pk").agg(
+        F.sort_array(F.collect_list(entry)).alias("lst")
+    )
     return DefaultIndex(
         name=name,
         graph=graph,

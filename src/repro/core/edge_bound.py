@@ -9,10 +9,13 @@ vertex's default ID list, exactly as Section 3 prescribes:
 "an edge-bound list for e=(v_s, v_d) is a subset of either v_s's or
 v_d's default ID list".
 
-List rows carry ``bid`` (bound edge id), ``anchor`` (the vertex whose
-default list the offsets point into — the paper stores this page
-association for maintenance, Section 4.3), the index's own partition
-columns, the offset array, and the pre-joined ``ref`` ID-list array.
+The index caches one table, ``lists``.  Its rows carry ``bid`` (bound
+edge id), ``anchor`` (the vertex whose default list the offsets point
+into — the paper stores this page association for maintenance,
+Section 4.3), the index's own partition columns, the offset array, the
+aligned sort-key array ``skeys`` and the pre-joined ``ref`` ID-list
+array.  Reads gather through the offsets at query time, as for
+vertex-bound lists (``repro.core.probes``).
 """
 from __future__ import annotations
 
@@ -58,15 +61,13 @@ def twopath_entity_resolver(anchor: str):
 class EdgeBoundIndex(OffsetListIndex):
     """A secondary edge-bound A+ index."""
 
-    _key, _anchor = "bid", "anchor"
+    _key = "bid"
 
     name: str
     view: TwoPathView
     config: IndexConfig
     base: DefaultIndex  # default index of the *adjacent* edges' direction
     lists: DataFrame = field(repr=False)  # bid, anchor, part…, offsets, ref
-    #: row-form (bid, anchor, part…, sort…, pos) for pre-filtered reads
-    flat_offsets: DataFrame = field(repr=False, default=None)
 
     @property
     def orientation(self):
@@ -92,8 +93,6 @@ class EdgeBoundIndex(OffsetListIndex):
 
     def unpersist(self) -> None:
         self.lists.unpersist()
-        if self.flat_offsets is not None:
-            self.flat_offsets.unpersist()
 
 
 def build_edge_bound(
@@ -169,17 +168,6 @@ def build_edge_bound(
         .persist()
     )
     lists.count()
-    # row-form for pre-filtered reads (see vertex_bound counterpart)
-    flat_offsets = (
-        joined.select(
-            "bid", F.col("__anchor").alias("anchor"),
-            *part_cols, *sort_cols, "pos",
-        )
-        .repartition("bid")
-        .persist()
-    )
-    flat_offsets.count()
     return EdgeBoundIndex(
-        name=name, view=view, config=config, base=base, lists=lists,
-        flat_offsets=flat_offsets,
+        name=name, view=view, config=config, base=base, lists=lists
     )

@@ -11,18 +11,12 @@ plan then costs list work, not re-deriving the same lookup tables
 (DESIGN.md §6).
 
 Column names carry the caller's ``tag``, so that several lists can be
-joined to one match DataFrame:
-
-* ``probe(access, tag)`` — one row per list: ``__k<tag>`` (owner key),
-  ``__arr<tag>`` (entries, with struct fields ``struct_fields``) and
-  ``__nbr<tag>`` (the entries' neighbour ids, for intersections).
-* ``row_probe(access, tag)``, offset-list indexes only — one row per
-  list entry that passes the access's sort-key predicates:
-  ``__k<tag>``, ``__a<tag>`` (the anchor vertex, whose ID list the
-  offset points into), ``__p<tag>`` (the offset) and ``__<col><tag>``
-  for each sort key the ID-list entry does not carry.
-* ``vertex_probe(tag)``, default indexes only — ``__vk<tag>`` and
-  ``__vl<tag>``: each vertex's whole ID list, which offsets index.
+joined to one match DataFrame: ``probe(access, tag)`` has one row per
+list, with ``__k<tag>`` (owner key), ``__arr<tag>`` (entries, with
+struct fields ``struct_fields``) and ``__nbr<tag>`` (the entries'
+neighbour ids, for intersections).  Offset-list indexes build the
+entries by gathering through their offsets (``OffsetListIndex``); that
+is the one way an offset list is read.
 """
 from __future__ import annotations
 
@@ -136,10 +130,9 @@ class ListIndex:
 
 class OffsetListIndex(ListIndex):
     """Secondary indexes whose lists are offsets into the ``base``
-    default index's ID lists (Section 3).  Subclasses also have
-    ``flat_offsets``, the row form, and name its anchor column."""
-
-    _anchor = "pk"
+    default index's ID lists (Section 3).  Each list row carries its
+    ``offsets``, the aligned sort keys ``skeys`` (when the index sorts)
+    and ``ref``, the ID list the offsets point into."""
 
     @property
     def extra_sort_cols(self) -> tuple[str, ...]:
@@ -192,23 +185,3 @@ class OffsetListIndex(ListIndex):
         if preds:
             arr = F.filter(arr, lambda s: entry_cond(lambda f: s[f], preds))
         return arr, _nbr_ids(arr)
-
-    def row_probe(self, access: ListAccess, tag: str) -> DataFrame:
-        """One row per entry of ``access``'s lists that passes its
-        (sort-key) array predicates: ``__k<tag>``, ``__a<tag>``,
-        ``__p<tag>`` and ``__<col><tag>`` per extra sort key."""
-
-        def build() -> DataFrame:
-            fl = self.flat_offsets
-            for c, v in access.part_eq:
-                fl = fl.where(F.col(c).eqNullSafe(F.lit(v)))
-            if access.array_preds:
-                fl = fl.where(entry_cond(F.col, access.array_preds))
-            return fl.select(
-                F.col(self._key).alias(f"__k{tag}"),
-                F.col(self._anchor).alias(f"__a{tag}"),
-                F.col("pos").alias(f"__p{tag}"),
-                *[F.col(c).alias(f"__{c}{tag}") for c in self.extra_sort_cols],
-            )
-
-        return self._cached(("rows", access, tag), build)

@@ -6,12 +6,15 @@ secondary partitioning and sorting.  Per Section 3, every list is a
 subset of the vertex's default-index neighbourhood, so only *offsets*
 (positions ``pos`` in the default CSR order) are stored.
 
-The engine-layer list rows carry both the offset array and a reference
-to the vertex's full default ID-list array (``ref``), pre-joined at
-build time — the analog of the offset-list page pointing at the
-vertex's ID-list page.  Resolving entries (``gather``) happens at
-*query* time, so the per-read indirection cost of Section 3 is paid by
-every query, as in the paper.
+The index caches one table, ``lists``.  Its rows carry the offset
+array, the aligned sort-key array ``skeys`` and a reference to the
+vertex's full default ID-list array (``ref``), pre-joined at build
+time — the analog of the offset-list page pointing at the vertex's
+ID-list page.  Every read resolves entries through the offsets
+(``gather``) at *query* time, so the per-read indirection cost of
+Section 3 is paid by every query, as in the paper; a range predicate
+on the sort keys selects positions before that gather
+(``repro.core.probes``).
 """
 from __future__ import annotations
 
@@ -63,8 +66,6 @@ class VertexBoundIndex(OffsetListIndex):
     config: IndexConfig
     base: DefaultIndex
     lists: DataFrame = field(repr=False)  # pk, part cols…, offsets, ref
-    #: row-form (pk, part cols…, sort cols…, pos) for pre-filtered reads
-    flat_offsets: DataFrame = field(repr=False, default=None)
 
     @property
     def direction(self) -> str:
@@ -95,8 +96,6 @@ class VertexBoundIndex(OffsetListIndex):
 
     def unpersist(self) -> None:
         self.lists.unpersist()
-        if self.flat_offsets is not None:
-            self.flat_offsets.unpersist()
 
 
 def build_vertex_bound(
@@ -151,18 +150,6 @@ def build_vertex_bound(
         .persist()
     )
     lists.count()
-    # Row-form of the offset lists: one row per (list, position), with
-    # the sort-key values alongside.  Sorted-list range predicates
-    # filter these rows before any per-match work — the vectorized
-    # binary-search analog the Extend operator uses (the entry itself
-    # is still resolved through the ID-list indirection at read time).
-    flat_offsets = (
-        flat.select("pk", *part_cols, *sort_cols, "pos")
-        .repartition("pk")
-        .persist()
-    )
-    flat_offsets.count()
     return VertexBoundIndex(
-        name=name, view=view, config=config, base=base, lists=lists,
-        flat_offsets=flat_offsets,
+        name=name, view=view, config=config, base=base, lists=lists
     )

@@ -44,7 +44,7 @@ from pyspark.sql import functions as F
 from repro.core.config import Atom
 from repro.core.edge_bound import EdgeBoundIndex
 from repro.core.index_store import IndexStore
-from repro.core.probes import ListAccess, ListIndex, OffsetListIndex
+from repro.core.probes import ListAccess, ListIndex
 from repro.core.vertex_bound import _canon_prop
 from repro.graphs.schema import PropertyGraph
 
@@ -212,51 +212,17 @@ class Extend:
     post_preds: tuple[Atom, ...] = ()
 
     def apply(self, ctx: EngineContext, matches: DataFrame) -> DataFrame:
-        idx = ctx.store.by_name(self.access.index)
-        if isinstance(idx, OffsetListIndex) and idx.prunes(self.access):
-            df = self._row_mode(matches, idx)
-        else:
-            df, idx = _probe_join(ctx, matches, self.from_var, self.access, "0")
-            df = df.select(matches["*"], F.explode("__arr0").alias("__x"))
-            df = df.select(
-                matches["*"],
-                *_entry_projection(F.col("__x"), idx.struct_fields,
-                                   self.to_var, self.edge_var),
-            )
+        df, idx = _probe_join(ctx, matches, self.from_var, self.access, "0")
+        df = df.select(matches["*"], F.explode("__arr0").alias("__x"))
+        df = df.select(
+            matches["*"],
+            *_entry_projection(F.col("__x"), idx.struct_fields,
+                               self.to_var, self.edge_var),
+        )
         if self.post_preds:
             df = _fetch_missing_props(ctx, df, self.post_preds)
             df = df.where(compile_atoms(df, self.post_preds))
         return df
-
-    def _row_mode(self, matches: DataFrame, idx: OffsetListIndex) -> DataFrame:
-        """Sorted-offset-list access via the row form: the range
-        predicate on the index's sort keys selects qualifying
-        (list, position) rows before any per-match work — the engine's
-        binary-search analog — and only those entries are resolved
-        through the ID-list indirection (``element_at``)."""
-        key_col = _key_col(matches, idx, self.from_var)
-        df = matches.join(
-            idx.row_probe(self.access, "0"),
-            matches[key_col] == F.col("__k0"), "inner",
-        ).join(
-            idx.base.vertex_probe("0"), F.col("__a0") == F.col("__vk0"), "inner"
-        )
-        entry = F.element_at(F.col("__vl0"), F.col("__p0") + 1)
-        # the index's sort-key values ride along (it is the structure
-        # that stores them; other properties still cost a fetch)
-        skeys = [
-            F.col(f"__{c}0").alias(
-                f"{self.to_var}__{c[4:]}" if c.startswith("nbr_")
-                else f"{self.edge_var}__{c}"
-            )
-            for c in idx.extra_sort_cols
-        ]
-        return df.select(
-            matches["*"],
-            *skeys,
-            *_entry_projection(entry, idx.base.struct_fields, self.to_var,
-                               self.edge_var),
-        )
 
     def describe(self) -> str:
         s = f"EXTEND({self.from_var}->{self.to_var} {self.access.describe()}"

@@ -12,14 +12,37 @@ configuration the jobs and the benchmark run.
   cost: analysis errors no longer name the Python line that built the
   failing column.
 
-``SPARK_MASTER`` and ``SPARK_SHUFFLE_PARTITIONS`` override the master
-and the shuffle partition count.
+* The driver's memory is set here too (``driver_memory``), so the
+  tests, the jobs and the benchmark run with the same JVM heap.  It
+  takes effect when this call starts the JVM, not on a session that is
+  already running.
+
+``SPARK_MASTER``, ``SPARK_SHUFFLE_PARTITIONS`` and ``SPARK_DRIVER_MEM``
+override the master, the shuffle partition count and the driver memory.
 """
 from __future__ import annotations
 
 import os
+import re
 
 from pyspark.sql import SparkSession
+
+
+def driver_memory(meminfo: str | None = None) -> str:
+    """``SPARK_DRIVER_MEM`` when set; otherwise half of ``MemTotal``
+    (from ``/proc/meminfo``, or ``meminfo`` when given) in whole GiB,
+    clamped to 2g–8g.  Without a readable ``MemTotal`` it is 2g."""
+    if m := os.environ.get("SPARK_DRIVER_MEM"):
+        return m
+    if meminfo is None:
+        try:
+            with open("/proc/meminfo") as f:
+                meminfo = f.read()
+        except OSError:
+            meminfo = ""
+    total = re.search(r"^MemTotal:\s*(\d+)", meminfo, re.M)  # in kB
+    half_gib = int(total.group(1)) // (1 << 21) if total else 0
+    return f"{min(8, max(2, half_gib))}g"
 
 
 def spark_session(app: str) -> SparkSession:
@@ -28,6 +51,7 @@ def spark_session(app: str) -> SparkSession:
         os.environ.get("SPARK_MASTER", "local[*]")
     )
     for k, v in {
+        "spark.driver.memory": driver_memory(),
         "spark.sql.shuffle.partitions":
             os.environ.get("SPARK_SHUFFLE_PARTITIONS", "16"),
         "spark.sql.execution.arrow.pyspark.enabled": "true",

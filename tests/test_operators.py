@@ -123,8 +123,18 @@ def test_extend_post_pred_equals_partitioned(ctx, g):
     assert a == b and len(a) > 0
 
 
+def _assert_amt_carried(df, g) -> None:
+    """Every row's ``e1__amt`` — a sort key of the index, which the base
+    ID lists do not carry — is the edge table's ``amt`` of ``e1``."""
+    amt = dict(g.edges.select("eid", "amt").collect())
+    rows = df.select("e1__eid", "e1__amt").collect()
+    assert rows and all(r["e1__amt"] == amt[r["e1__eid"]] for r in rows)
+
+
 def test_extend_array_pred_sorted_prune(ctx, g):
-    """Array-level pruning on the sort key (binary-search analog)."""
+    """Array-level pruning on the sort key (binary-search analog): the
+    kept positions resolve to the right edges and carry their sort-key
+    values."""
     df = Plan(
         "t",
         (
@@ -143,6 +153,7 @@ def test_extend_array_pred_sorted_prune(ctx, g):
         (Atom(("e1", "amt"), ">", 700.0),),
     )
     check_pattern(df, q, g, project_edges=("e1",))
+    _assert_amt_carried(df, g)
 
 
 def test_extend_backward(ctx, g):
@@ -158,7 +169,7 @@ def test_extend_backward(ctx, g):
     assert sorted(r["e1__eid"] for r in df.collect()) == [5, 17]
 
 
-def test_vertex_bound_gather_matches_default(ctx):
+def test_vertex_bound_gather_matches_default(ctx, g):
     """Reading through offset-list indirection returns the same edges
     as reading the default ID lists (Section 3)."""
     via_d = Plan(
@@ -174,6 +185,7 @@ def test_vertex_bound_gather_matches_default(ctx):
     a = sorted(map(tuple, via_d.select("a1", "a2", "e1__eid").collect()))
     b = sorted(map(tuple, via_vb.select("a1", "a2", "e1__eid").collect()))
     assert a == b and len(a) > 0
+    _assert_amt_carried(via_vb, g)
 
 
 def test_close_extend_triangle(ctx, g):
@@ -331,7 +343,7 @@ _JOIN = re.compile(
     r"|BroadcastNestedLoopJoin) (\[.*?\]), (\[.*?\])"
 )
 #: join keys the operators give the index side
-_PROBE_KEY = re.compile(r"\b__(k\d+|vk\d+)#")
+_PROBE_KEY = re.compile(r"\b__k\d+#")
 _KEY_NAME = re.compile(r"(\w+)#\d+")
 
 
@@ -340,9 +352,9 @@ def _probe_joins(df, capsys) -> list[str]:
     from ``DataFrame.explain()``.  The plan also prints the build plans
     of the cached index tables (under ``InMemoryRelation``), whose
     build-time joins ran once, not per query; operator joins are told
-    apart by their keys: index probes key the index side ``__k<i>`` or
-    ``__vk<i>``, and property-store reads join on the match variable's
-    own column, so both sides' keys have the same names."""
+    apart by their keys: index probes key the index side ``__k<i>``, and
+    property-store reads join on the match variable's own column, so
+    both sides' keys have the same names."""
     df.collect()
     capsys.readouterr()
     df.explain()
@@ -371,12 +383,12 @@ _ACCESS_PATHS = {
         Extend("a1", "a2", "e1",
                ListAccess("VBt.fw", part_eq=(("elabel", "DD"),))),
     ),
-    "vb-row-mode": (
+    "vb-pruned-gather": (
         Extend("a1", "a2", "e1",
                ListAccess("VBt.fw", part_eq=(("elabel", "W"),),
                           array_preds=(("amt", ">", 700.0),))),
     ),
-    "eb-row-mode": (
+    "eb-pruned-gather": (
         Extend("a1", "a2", "e1", ListAccess("D.fw")),
         Extend("e1", "a3", "e2",
                ListAccess("EB.mf",
@@ -436,13 +448,13 @@ _ACCESS_QUERIES = {
                    (QEdge("e1", "a1", "a2", "DD"),)),
         ("e1",),
     ),
-    "vb-row-mode": (
+    "vb-pruned-gather": (
         QueryGraph("vr", (QVertex("a1"), QVertex("a2")),
                    (QEdge("e1", "a1", "a2", "W"),),
                    (Atom(("e1", "amt"), ">", 700.0),)),
         ("e1",),
     ),
-    "eb-row-mode": (
+    "eb-pruned-gather": (
         QueryGraph("er", (QVertex("a1"), QVertex("a2"), QVertex("a3")),
                    (_A12, QEdge("e2", "a2", "a3")),
                    _mf("e2") + (Atom(("a3", "city"), "=", "Toronto"),)),
@@ -479,9 +491,9 @@ _ACCESS_QUERIES = {
 @pytest.mark.parametrize("path", sorted(_ACCESS_PATHS))
 def test_probe_tables_are_reused(ctx, g, monkeypatch, path):
     """A second build of the same plan reuses every probe table of the
-    first (the identical DataFrame objects: index lists, row forms,
-    vertex lists and property-store bindings), and its answer still
-    equals the oracle's."""
+    first (the identical DataFrame objects: index lists and
+    property-store bindings), and its answer still equals the
+    oracle's."""
     used: list = []
 
     def recording(build):
@@ -512,6 +524,43 @@ def test_index_probes_are_broadcast_hash_joins(ctx, capsys, path):
     df = Plan(path, (Scan("a1"),) + _ACCESS_PATHS[path]).execute(ctx)
     joins = _probe_joins(df, capsys)
     assert joins and set(joins) == {"BroadcastHashJoin"}, joins
+
+
+def test_each_index_caches_one_table_per_artifact(spark):
+    """Building an index persists 2 RDDs for a default index (``flat``,
+    ``lists``) and 1 for a vertex- or edge-bound index (``lists``)."""
+    # The Figure-1 graph over source RDDs of its own: Spark shares a
+    # cache between DataFrames with the same plan, and the ``ctx``
+    # fixture's indexes are built over the same data.
+    ex = example_graph(spark)
+    g = PropertyGraph(
+        "fig1-own-rdds",
+        *(spark.createDataFrame(df.rdd, df.schema)
+          for df in (ex.vertices, ex.edges)),
+    )
+    persistent = spark.sparkContext._jsc.getPersistentRDDs
+    built = []
+
+    def added(build) -> int:
+        before = persistent().size()
+        built.append(build())
+        return persistent().size() - before
+
+    assert added(lambda: build_default_index(g, graphflow_default("fw"))) == 2
+    fw = built[-1]
+    assert added(lambda: build_vertex_bound(
+        fw, EdgeView("all_fw"),
+        IndexConfig(direction="fw", partition_by=((EDGE, "elabel"),),
+                    sort_by=((EDGE, "amt"),)),
+    )) == 1
+    assert added(lambda: build_edge_bound(
+        fw,
+        TwoPathView("mf", DST_FW,
+                    (Atom(("e_b", "date"), "<", ("e_adj", "date")),)),
+        IndexConfig(direction="fw", sort_by=((NBR, "city"),)),
+    )) == 1
+    for idx in built:
+        idx.unpersist()
 
 
 def test_unbound_variable_raises(ctx):

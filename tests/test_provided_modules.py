@@ -1,67 +1,35 @@
-"""The provided scaffolding modules (synth_data, oracle) keep working —
-the oracle is the correctness backbone of the whole reproduction."""
-import pandas as pd
+"""The provided oracle keeps working on the Figure-1 graph — the
+oracle is the correctness backbone of the whole reproduction."""
 import pytest
 from pyspark.sql import functions as F
 
-from repro import synth_data
+from repro.graphs.example import example_graph
 from repro.oracle import assert_equivalent
 
-
-def test_lineitem_shape(spark):
-    li = synth_data.lineitem(spark, sf=0.001)
-    assert li.count() == 6000
-    assert "l_orderkey" in li.columns
+_SUM_BY_LABEL = (
+    "SELECT elabel, SUM(amt) AS amt FROM edges GROUP BY elabel"
+)
 
 
-def test_generators_deterministic(spark):
-    a = synth_data.orders(spark, sf=0.001).toPandas()
-    b = synth_data.orders(spark, sf=0.001).toPandas()
-    pd.testing.assert_frame_equal(a, b)
+@pytest.fixture(scope="module")
+def edges(spark):
+    return example_graph(spark).edges
 
 
-def test_zipf_keys_skewed(spark):
-    df = synth_data.zipf_keys(spark, n=5000, n_keys=100).toPandas()
-    top = df["k"].value_counts().iloc[0]
-    assert top > 3 * (5000 / 100)
+def test_oracle_accepts_matching_aggregate(edges):
+    got = edges.groupBy("elabel").agg(F.sum("amt").alias("amt"))
+    assert_equivalent(got, _SUM_BY_LABEL, edges=edges)
 
 
-def test_uniform_keys_range(spark):
-    df = synth_data.uniform_keys(spark, n=1000, n_keys=10).toPandas()
-    assert set(df["k"].unique()) <= set(range(1, 11))
-
-
-def test_oracle_accepts_matching_aggregate(spark):
-    li = synth_data.lineitem(spark, sf=0.001)
-    got = li.groupBy("l_returnflag").agg(
-        F.sum("l_quantity").alias("qty")
-    )
-    assert_equivalent(
-        got,
-        "SELECT l_returnflag, SUM(l_quantity) AS qty FROM li "
-        "GROUP BY l_returnflag",
-        li=li,
-    )
-
-
-def test_oracle_rejects_wrong_result(spark):
-    li = synth_data.lineitem(spark, sf=0.001)
-    wrong = li.groupBy("l_returnflag").agg(
-        (F.sum("l_quantity") + 1).alias("qty")
-    )
+def test_oracle_rejects_wrong_result(edges):
+    wrong = edges.groupBy("elabel").agg((F.sum("amt") + 1).alias("amt"))
     with pytest.raises(AssertionError):
-        assert_equivalent(
-            wrong,
-            "SELECT l_returnflag, SUM(l_quantity) AS qty FROM li "
-            "GROUP BY l_returnflag",
-            li=li,
-        )
+        assert_equivalent(wrong, _SUM_BY_LABEL, edges=edges)
 
 
-def test_oracle_rejects_column_mismatch(spark):
-    li = synth_data.lineitem(spark, sf=0.001)
-    got = li.groupBy("l_returnflag").count()
+def test_oracle_rejects_column_mismatch(edges):
+    got = edges.groupBy("elabel").count()
     with pytest.raises(AssertionError, match="column mismatch"):
         assert_equivalent(
-            got, "SELECT l_returnflag, 1 AS nope FROM li GROUP BY 1", li=li
+            got, "SELECT elabel, 1 AS nope FROM edges GROUP BY 1", edges=edges
         )
