@@ -1,6 +1,14 @@
 """Default A+ indexes (Section 2.1) as materialized Spark DataFrames.
 
-A default index (one per direction) caches two artifacts:
+A default index (one per direction) caches one table, ``lists`` — the
+nested-CSR analog: one row per ``(pk, partition-col values)`` holding
+the sorted most-granular list as an array of structs.  Partition-column
+equality predicates become *lookup keys* here (constant-time
+granular-list access); sort columns order the array
+(binary-search-style access via array pruning).
+
+Two derived plans are kept beside it, uncached; only secondary-index
+builds read them:
 
 * ``flat`` — one row per adjacent edge: ``pk`` (the partitioning
   vertex), ``nbr``, ``eid``, all edge properties, neighbour vertex
@@ -8,17 +16,10 @@ A default index (one per direction) caches two artifacts:
   ``pos`` — the edge's offset within its vertex's full neighbourhood in
   canonical CSR order.  ``pos`` is what secondary indexes' offset lists
   point at (Section 3).
-* ``lists`` — the nested-CSR analog: one row per
-  ``(pk, partition-col values)`` holding the sorted most-granular list
-  as an array of structs.  Partition-column equality predicates become
-  *lookup keys* here (constant-time granular-list access); sort columns
-  order the array (binary-search-style access via array pruning).
-
-``vertex_lists`` — one row per vertex with the full neighbourhood
-array in ``pos`` order (the contiguous CSR neighbourhood that offset
-lists index into) — is derived from the cached ``flat`` and is not
-cached itself: only secondary-index builds read it, to store each
-list's ``ref``.
+* ``vertex_lists`` — one row per vertex with the full neighbourhood
+  array in ``pos`` order (the contiguous CSR neighbourhood that offset
+  lists index into), merged from the vertex's cached ``lists`` rows;
+  secondary-index builds store it as each list's ``ref``.
 
 Canonical order within a vertex is ``(partition cols, sort cols, eid)``
 ascending, nulls first (Spark struct comparison places nulls first;
@@ -73,7 +74,6 @@ class DefaultIndex(ListIndex):
     config: IndexConfig
     flat: DataFrame = field(repr=False)
     lists: DataFrame = field(repr=False)
-    vertex_lists: DataFrame = field(repr=False)
     struct_fields: tuple[str, ...] = ()
 
     @property
@@ -91,15 +91,19 @@ class DefaultIndex(ListIndex):
         return lst, F.transform(lst, lambda s: s["nbr"])
 
     @cached_property
+    def vertex_lists(self) -> DataFrame:
+        """Each vertex's granular lists merged into one array; sorting
+        the entries restores the canonical order that ``pos`` counts."""
+        return self.lists.groupBy("pk").agg(
+            F.sort_array(F.flatten(F.collect_list("lst"))).alias("lst")
+        )
+
+    @cached_property
     def memory_bytes(self) -> int:
         """Structural size per the storage model (for Mm columns)."""
         from repro.storage.memory import default_index_bytes
 
         return default_index_bytes(self)
-
-    def unpersist(self) -> None:
-        for df in (self.flat, self.lists):
-            df.unpersist()
 
 
 def build_default_index(
@@ -107,18 +111,14 @@ def build_default_index(
 ) -> DefaultIndex:
     """Build and materialize one default A+ index."""
     name = name or f"D.{config.direction}"
-    flat = _flat_edges(graph, config.direction)
+    edges = _flat_edges(graph, config.direction)
     order_cols = canonical_order_cols(config)
-    missing = [c for c in order_cols if c not in flat.columns]
+    missing = [c for c in order_cols if c not in edges.columns]
     if missing:
         raise ValueError(
             f"index {name!r}: partition/sort columns {missing} not in graph "
-            f"(have {sorted(flat.columns)})"
+            f"(have {sorted(edges.columns)})"
         )
-    w = Window.partitionBy("pk").orderBy(
-        *[F.col(c).asc_nulls_first() for c in order_cols]
-    )
-    flat = flat.withColumn("pos", F.row_number().over(w) - F.lit(1))
 
     # ID lists carry exactly what the paper's lists carry: the edge and
     # neighbour ids plus the partition/sort key values.  Any *other*
@@ -131,29 +131,25 @@ def build_default_index(
         )
     )
     entry = F.struct(*[F.col(c) for c in struct_fields])
-
     lists = (
-        flat.groupBy("pk", *config.partition_cols)
+        edges.groupBy("pk", *config.partition_cols)
         .agg(F.sort_array(F.collect_list(entry)).alias("lst"))
         # plain neighbour-id arrays, materialized once at build time so
         # WCO intersections read them without per-element lambdas
         .withColumn("nbr_ids", F.expr("transform(lst, s -> s.nbr)"))
+        .persist()
     )
-    flat = flat.repartition("pk").persist()
-    lists = lists.repartition("pk").persist()
     # Materialize now so benchmarks time queries, not index builds.
-    flat.count(), lists.count()
-    # offsets index the whole neighbourhood, in ``pos`` order
-    vertex_lists = flat.groupBy("pk").agg(
-        F.sort_array(F.collect_list(entry)).alias("lst")
+    lists.count()
+
+    w = Window.partitionBy("pk").orderBy(
+        *[F.col(c).asc_nulls_first() for c in order_cols]
     )
     return DefaultIndex(
         name=name,
         graph=graph,
         config=config,
-        flat=flat,
+        flat=edges.withColumn("pos", F.row_number().over(w) - F.lit(1)),
         lists=lists,
-        vertex_lists=vertex_lists,
         struct_fields=struct_fields,
     )
-

@@ -27,7 +27,7 @@ from pyspark.sql import functions as F
 
 from repro.core.config import IndexConfig
 from repro.core.default_index import DefaultIndex
-from repro.core.probes import OffsetListIndex
+from repro.core.probes import OffsetListIndex, build_offset_lists
 from repro.core.views import TwoPathView
 from repro.core.vertex_bound import _canon_prop
 
@@ -74,14 +74,6 @@ class EdgeBoundIndex(OffsetListIndex):
         return self.view.orientation
 
     @cached_property
-    def num_entries(self) -> int:
-        """Total indexed 2-paths (|E_indexed| in Table 6)."""
-        return (
-            self.lists.select(F.sum(F.size("offsets")).alias("n"))
-            .collect()[0]["n"] or 0
-        )
-
-    @cached_property
     def memory_bytes(self) -> int:
         from repro.storage.memory import offset_index_bytes
 
@@ -90,9 +82,6 @@ class EdgeBoundIndex(OffsetListIndex):
             n_layer_keys=len(self.config.partition_cols),
             per_list_key_bytes=8,  # bound-edge id keys the list (Section 4.3)
         )
-
-    def unpersist(self) -> None:
-        self.lists.unpersist()
 
 
 def build_edge_bound(
@@ -124,50 +113,20 @@ def build_edge_bound(
     eprops = [c for c in graph.edges.columns if c not in ("eid", "src", "dst")]
     bound = graph.edges.select(
         F.col("eid").alias("bid"),
-        F.col(o.anchor).alias("__anchor"),
+        F.col(o.anchor).alias("anchor"),
         *[F.col(p).alias(f"b_{p}") for p in eprops],
     )
-    joined = bound.join(base.flat, bound["__anchor"] == base.flat["pk"], "inner")
+    flat = base.flat
+    joined = bound.join(flat, bound["anchor"] == flat["pk"], "inner")
     # Exclude the bound edge itself from its own neighbourhood: a 2-path
     # is two distinct edges (relevant for reciprocal edges in bw lists).
     joined = joined.where(F.col("bid") != F.col("eid"))
     resolve = twopath_entity_resolver(o.anchor)
     for atom in view.predicates:
         joined = joined.where(atom.to_spark(resolve))
-
-    part_cols = list(config.partition_cols)
-    sort_cols = list(config.sort_cols)
-    missing = [c for c in (*part_cols, *sort_cols) if c not in base.flat.columns]
-    if missing:
-        raise ValueError(f"index {name!r}: unknown columns {missing}")
-    entry_fields = list(dict.fromkeys([*sort_cols, "eid", "pos"]))
-    entry = F.struct(*[F.col(c) for c in entry_fields])
-    sorted_entries = F.sort_array(F.collect_list(entry))
-    aggs = [
-        F.transform(sorted_entries, lambda s: s["pos"]).alias("offsets")
-    ]
-    if sort_cols:
-        # aligned sort-key array for pre-gather pruning (see
-        # vertex_bound.build_vertex_bound)
-        aggs.append(
-            F.transform(
-                sorted_entries,
-                lambda s: F.struct(*[s[c].alias(c) for c in sort_cols]),
-            ).alias("skeys")
-        )
-    lists = joined.groupBy(
-        "bid", F.col("__anchor").alias("anchor"), *part_cols
-    ).agg(*aggs)
-    ref = base.vertex_lists.select(
-        F.col("pk").alias("__rpk"), F.col("lst").alias("ref")
+    lists = build_offset_lists(
+        name, base, config, joined, ("bid", "anchor"), "anchor"
     )
-    lists = (
-        lists.join(ref, lists["anchor"] == ref["__rpk"], "inner")
-        .drop("__rpk")
-        .repartition("bid")
-        .persist()
-    )
-    lists.count()
     return EdgeBoundIndex(
         name=name, view=view, config=config, base=base, lists=lists
     )

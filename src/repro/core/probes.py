@@ -16,7 +16,8 @@ list, with ``__k<tag>`` (owner key), ``__arr<tag>`` (entries, with
 struct fields ``struct_fields``) and ``__nbr<tag>`` (the entries'
 neighbour ids, for intersections).  Offset-list indexes build the
 entries by gathering through their offsets (``OffsetListIndex``); that
-is the one way an offset list is read.
+is the one way an offset list is read, and ``build_offset_lists`` is
+the one way both secondary index kinds build their lists.
 """
 from __future__ import annotations
 
@@ -78,12 +79,16 @@ def _nbr_ids(entries: Column) -> Column:
 
 
 class ListIndex:
-    """What the three index kinds share: granular-list lookup and the
-    probe-table cache.  Subclasses are dataclasses with ``name``,
-    ``config`` and ``lists``, and say how a list's entries are read
-    (``_entries``) and which column keys a list (``_key``)."""
+    """What the three index kinds share: granular-list lookup, the
+    probe-table cache and the one cached table, ``lists``.  Subclasses
+    are dataclasses with ``name``, ``config`` and ``lists``, and say how
+    a list's entries are read (``_entries``) and which column keys a
+    list (``_key``)."""
 
     _key = "pk"
+
+    def unpersist(self) -> None:
+        self.lists.unpersist()
 
     def granular_lists(self, part_eq: dict[str, object]) -> DataFrame:
         """Lists narrowed by equality on partition columns.
@@ -145,6 +150,14 @@ class OffsetListIndex(ListIndex):
     def struct_fields(self) -> tuple[str, ...]:
         return self.base.struct_fields + self.extra_sort_cols
 
+    @functools.cached_property
+    def num_entries(self) -> int:
+        """Total offsets stored (|E_indexed| in Table 6)."""
+        return (
+            self.lists.select(F.sum(F.size("offsets")).alias("n"))
+            .collect()[0]["n"] or 0
+        )
+
     def prunes(self, access: ListAccess) -> bool:
         """True when every array predicate targets a sort key, so that
         qualifying positions are selected before the ID-list gather —
@@ -185,3 +198,47 @@ class OffsetListIndex(ListIndex):
         if preds:
             arr = F.filter(arr, lambda s: entry_cond(lambda f: s[f], preds))
         return arr, _nbr_ids(arr)
+
+
+def build_offset_lists(name: str, base, config, rows: DataFrame,
+                       keys: tuple[str, ...], owner: str) -> DataFrame:
+    """Group ``rows`` — edges of ``base.flat``, with their ``pos`` — into
+    the persisted ``lists`` table of a secondary index.
+
+    One row per ``keys`` and ``config``'s partition values, holding the
+    ``offsets`` in ``config``'s sort order, the aligned sort-key array
+    ``skeys`` (when the index sorts) and ``ref``, the ID list of the
+    vertex ``owner`` names, which the offsets point into.
+    """
+    part_cols = list(config.partition_cols)
+    sort_cols = list(config.sort_cols)
+    have = base.flat.columns
+    missing = [c for c in (*part_cols, *sort_cols) if c not in have]
+    if missing:
+        raise ValueError(f"index {name!r}: unknown columns {missing}")
+    entry_fields = list(dict.fromkeys([*sort_cols, "eid", "pos"]))
+    entry = F.struct(*[F.col(c) for c in entry_fields])
+    sorted_entries = F.sort_array(F.collect_list(entry))
+    aggs = [F.transform(sorted_entries, lambda s: s["pos"]).alias("offsets")]
+    if sort_cols:
+        # Sort-key array aligned with the offsets: the engine analog of
+        # binary-searching a sorted list — range predicates on the sort
+        # keys select positions *before* the ID-list gather, so only
+        # qualifying entries are read (Section 2.1.2).
+        aggs.append(
+            F.transform(
+                sorted_entries,
+                lambda s: F.struct(*[s[c].alias(c) for c in sort_cols]),
+            ).alias("skeys")
+        )
+    lists = rows.groupBy(*keys, *part_cols).agg(*aggs)
+    ref = base.vertex_lists.select(
+        F.col("pk").alias("__rpk"), F.col("lst").alias("ref")
+    )
+    lists = (
+        lists.join(ref, lists[owner] == ref["__rpk"], "inner")
+        .drop("__rpk")
+        .persist()
+    )
+    lists.count()
+    return lists

@@ -26,7 +26,7 @@ from pyspark.sql import functions as F
 
 from repro.core.config import IndexConfig
 from repro.core.default_index import DefaultIndex
-from repro.core.probes import OffsetListIndex
+from repro.core.probes import OffsetListIndex, build_offset_lists
 from repro.core.views import EdgeView
 
 
@@ -81,21 +81,11 @@ class VertexBoundIndex(OffsetListIndex):
         )
 
     @cached_property
-    def num_entries(self) -> int:
-        return (
-            self.lists.select(F.sum(F.size("offsets")).alias("n"))
-            .collect()[0]["n"] or 0
-        )
-
-    @cached_property
     def memory_bytes(self) -> int:
         from repro.storage.memory import offset_index_bytes
 
         return offset_index_bytes(self.lists, n_layer_keys=0 if self.shares_layers
                                   else len(self.config.partition_cols))
-
-    def unpersist(self) -> None:
-        self.lists.unpersist()
 
 
 def build_vertex_bound(
@@ -116,40 +106,7 @@ def build_vertex_bound(
     resolve = view_entity_resolver(base)
     for atom in view.predicates:
         flat = flat.where(atom.to_spark(resolve))
-
-    part_cols = list(config.partition_cols)
-    sort_cols = list(config.sort_cols)
-    missing = [c for c in (*part_cols, *sort_cols) if c not in flat.columns]
-    if missing:
-        raise ValueError(f"index {name!r}: unknown columns {missing}")
-    entry_fields = list(dict.fromkeys([*sort_cols, "eid", "pos"]))
-    entry = F.struct(*[F.col(c) for c in entry_fields])
-    sorted_entries = F.sort_array(F.collect_list(entry))
-    aggs = [
-        F.transform(sorted_entries, lambda s: s["pos"]).alias("offsets")
-    ]
-    if sort_cols:
-        # Sort-key array aligned with the offsets: the engine analog of
-        # binary-searching a sorted list — range predicates on the sort
-        # keys select positions *before* the ID-list gather, so only
-        # qualifying entries are read (Section 2.1.2).
-        aggs.append(
-            F.transform(
-                sorted_entries,
-                lambda s: F.struct(*[s[c].alias(c) for c in sort_cols]),
-            ).alias("skeys")
-        )
-    lists = flat.groupBy("pk", *part_cols).agg(*aggs)
-    ref = base.vertex_lists.select(
-        F.col("pk").alias("__rpk"), F.col("lst").alias("ref")
-    )
-    lists = (
-        lists.join(ref, lists["pk"] == ref["__rpk"], "inner")
-        .drop("__rpk")
-        .repartition("pk")
-        .persist()
-    )
-    lists.count()
+    lists = build_offset_lists(name, base, config, flat, ("pk",), "pk")
     return VertexBoundIndex(
         name=name, view=view, config=config, base=base, lists=lists
     )

@@ -22,14 +22,19 @@ VERTEX_OFFSET_BYTES = 4
 
 
 def default_index_bytes(index) -> int:
-    """Structural bytes of one direction of a default A+ index."""
-    flat = index.flat
-    n_edges = flat.count()
+    """Structural bytes of one direction of a default A+ index.
+
+    Counted from the cached ``lists``: each row is one most-granular
+    list, that is one distinct ``(pk, partition values)``, so the
+    distinct prefixes of its keys are the layer groups."""
+    lists = index.lists
+    n_edges = lists.select(F.sum(F.size("lst")).alias("n")).collect()[0]["n"]
     n_vertices = index.graph.num_vertices
-    total = ID_ENTRY_BYTES * n_edges + VERTEX_OFFSET_BYTES * (n_vertices + 1)
+    total = (ID_ENTRY_BYTES * (n_edges or 0)
+             + VERTEX_OFFSET_BYTES * (n_vertices + 1))
     part_cols = list(index.config.partition_cols)
     for i in range(1, len(part_cols) + 1):
-        groups = flat.select("pk", *part_cols[:i]).distinct().count()
+        groups = lists.select("pk", *part_cols[:i]).distinct().count()
         total += LAYER_CELL_BYTES * groups
     return total
 

@@ -6,8 +6,8 @@ configurations for that table, plans every query with the DP optimizer
 returns one :class:`Cell` per (dataset, configuration, query) with the
 wall-clock seconds, result cardinality, and the configuration's Mm.
 
-Jobs print paper-style tables from these cells; benchmarks time
-individual cells; EXPERIMENTS.md records paper-vs-measured numbers.
+Jobs print paper-style tables from these cells; EXPERIMENTS.md
+records paper-vs-measured numbers.
 Scale is controlled by the ``REPRO_SCALE`` env var ("bench" default,
 "tiny" for smoke runs).
 """

@@ -105,6 +105,21 @@ def test_offset_bytes_formula(spark, vb):
     assert offset_index_bytes(vb.lists, n_layer_keys=0) == want
 
 
+@pytest.mark.parametrize(
+    "offsets,want",
+    [([], 1), ([0], 1 + 1), ([3, 255], 1 + 2 * 1), ([256], 1 + 2),
+     ([65535, 7], 1 + 2 * 2), ([65536], 1 + 4), ([2**32 - 1, 0], 1 + 2 * 4)],
+    ids=["empty", "0-1", "255-1", "256-2", "65535-2", "65536-4",
+         "4294967295-4"],
+)
+def test_offset_width_boundaries(spark, offsets, want):
+    """Every offset of a list is stored at the width of its largest one
+    (1, 2 or 4 B) behind a 1-byte header; an empty list is the header
+    alone (Section 4.3)."""
+    lists = spark.createDataFrame([(offsets,)], "offsets array<bigint>")
+    assert offset_index_bytes(lists) == want
+
+
 def test_eb_overhead_larger_but_bounded(g, fw, bw):
     eb = build_edge_bound(
         fw,

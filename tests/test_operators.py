@@ -526,41 +526,60 @@ def test_index_probes_are_broadcast_hash_joins(ctx, capsys, path):
     assert joins and set(joins) == {"BroadcastHashJoin"}, joins
 
 
-def test_each_index_caches_one_table_per_artifact(spark):
-    """Building an index persists 2 RDDs for a default index (``flat``,
-    ``lists``) and 1 for a vertex- or edge-bound index (``lists``)."""
-    # The Figure-1 graph over source RDDs of its own: Spark shares a
-    # cache between DataFrames with the same plan, and the ``ctx``
-    # fixture's indexes are built over the same data.
+def _own_rdd_graph(spark) -> PropertyGraph:
+    """The Figure-1 graph over source RDDs of its own: Spark shares a
+    cache between DataFrames with the same plan, and the ``ctx``
+    fixture's indexes are built over the same data."""
     ex = example_graph(spark)
-    g = PropertyGraph(
+    return PropertyGraph(
         "fig1-own-rdds",
         *(spark.createDataFrame(df.rdd, df.schema)
           for df in (ex.vertices, ex.edges)),
     )
-    persistent = spark.sparkContext._jsc.getPersistentRDDs
-    built = []
 
-    def added(build) -> int:
-        before = persistent().size()
-        built.append(build())
-        return persistent().size() - before
 
-    assert added(lambda: build_default_index(g, graphflow_default("fw"))) == 2
-    fw = built[-1]
-    assert added(lambda: build_vertex_bound(
+def _d_vb_eb(g):
+    """Build a default, a vertex-bound and an edge-bound index, one per
+    ``next``."""
+    fw = build_default_index(g, graphflow_default("fw"))
+    yield fw
+    yield build_vertex_bound(
         fw, EdgeView("all_fw"),
         IndexConfig(direction="fw", partition_by=((EDGE, "elabel"),),
                     sort_by=((EDGE, "amt"),)),
-    )) == 1
-    assert added(lambda: build_edge_bound(
+    )
+    yield build_edge_bound(
         fw,
         TwoPathView("mf", DST_FW,
                     (Atom(("e_b", "date"), "<", ("e_adj", "date")),)),
         IndexConfig(direction="fw", sort_by=((NBR, "city"),)),
-    )) == 1
+    )
+
+
+def test_each_index_caches_one_table_per_artifact(spark):
+    """Building a default, vertex- or edge-bound index persists one RDD,
+    its ``lists``."""
+    persistent = spark.sparkContext._jsc.getPersistentRDDs
+    built = []
+    before = persistent().size()
+    for idx in _d_vb_eb(_own_rdd_graph(spark)):
+        built.append(idx)
+        assert persistent().size() - before == 1, idx.name
+        before = persistent().size()
     for idx in built:
         idx.unpersist()
+
+
+def test_index_store_unpersist_leaves_no_cached_table(spark):
+    """``IndexStore.unpersist()`` brings the persisted RDDs back to their
+    count before the builds."""
+    persistent = spark.sparkContext._jsc.getPersistentRDDs
+    before = persistent().size()
+    fw, vb, eb = _d_vb_eb(_own_rdd_graph(spark))
+    store = IndexStore(fw, None, [vb], [eb])
+    assert persistent().size() == before + 3
+    store.unpersist()
+    assert persistent().size() == before
 
 
 def test_unbound_variable_raises(ctx):
