@@ -96,6 +96,11 @@ _SQL_OPS = {"=": "=", "!=": "<>", "<": "<", "<=": "<=", ">": ">", ">=": ">="}
 Ref = tuple[str, str]  # (entity, prop) — entity is a view role or query var
 
 
+def canon_prop(prop: str) -> str:
+    """Accept the paper's surface names: ``label``→``elabel``, ``ID``→vid."""
+    return {"label": "elabel", "ID": "vid", "id": "vid"}.get(prop, prop)
+
+
 @dataclass(frozen=True)
 class Atom:
     """One comparison: ``lhs op rhs (+ delta)``.

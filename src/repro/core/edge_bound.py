@@ -25,11 +25,10 @@ from functools import cached_property
 from pyspark.sql import Column, DataFrame
 from pyspark.sql import functions as F
 
-from repro.core.config import IndexConfig
+from repro.core.config import IndexConfig, canon_prop
 from repro.core.default_index import DefaultIndex
 from repro.core.probes import OffsetListIndex, build_offset_lists
 from repro.core.views import TwoPathView
-from repro.core.vertex_bound import _canon_prop
 
 
 def twopath_entity_resolver(anchor: str):
@@ -43,7 +42,7 @@ def twopath_entity_resolver(anchor: str):
     """
 
     def resolve(ref: tuple[str, str]) -> Column:
-        ent, prop = ref[0], _canon_prop(ref[1])
+        ent, prop = ref[0], canon_prop(ref[1])
         if ent == "e_b":
             return F.col("bid") if prop == "vid" else F.col(f"b_{prop}")
         if ent == "e_adj":

@@ -14,17 +14,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.core.config import Atom
+from repro.core.config import Atom, canon_prop
 from repro.core.default_index import DefaultIndex
 from repro.core.edge_bound import EdgeBoundIndex
-from repro.core.vertex_bound import VertexBoundIndex, _canon_prop
+from repro.core.vertex_bound import VertexBoundIndex
 from repro.core.views import Orientation
 
 
 def canon_atom(a: Atom) -> tuple:
     """Hashable canonical form for syntactic subsumption checks."""
-    lhs = (a.lhs[0], _canon_prop(a.lhs[1]))
-    rhs = (a.rhs[0], _canon_prop(a.rhs[1])) if a.rhs_is_ref else a.rhs
+    lhs = (a.lhs[0], canon_prop(a.lhs[1]))
+    rhs = (a.rhs[0], canon_prop(a.rhs[1])) if a.rhs_is_ref else a.rhs
     return (lhs, a.op, rhs, a.delta)
 
 

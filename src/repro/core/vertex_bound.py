@@ -24,15 +24,10 @@ from functools import cached_property
 from pyspark.sql import Column, DataFrame
 from pyspark.sql import functions as F
 
-from repro.core.config import IndexConfig
+from repro.core.config import IndexConfig, canon_prop
 from repro.core.default_index import DefaultIndex
 from repro.core.probes import OffsetListIndex, build_offset_lists
 from repro.core.views import EdgeView
-
-
-def _canon_prop(prop: str) -> str:
-    """Accept the paper's surface names: ``label``→``elabel``, ``ID``→vid."""
-    return {"label": "elabel", "ID": "vid", "id": "vid"}.get(prop, prop)
 
 
 def view_entity_resolver(base: DefaultIndex):
@@ -45,7 +40,7 @@ def view_entity_resolver(base: DefaultIndex):
     self_role, nbr_role = ("v_s", "v_d") if fw else ("v_d", "v_s")
 
     def resolve(ref: tuple[str, str]) -> Column:
-        ent, prop = ref[0], _canon_prop(ref[1])
+        ent, prop = ref[0], canon_prop(ref[1])
         if ent == "e_adj":
             return F.col("eid") if prop == "vid" else F.col(prop)
         if ent == self_role:

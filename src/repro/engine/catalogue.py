@@ -13,13 +13,11 @@ known selectivities).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any
 
 from pyspark.sql import functions as F
 
-from repro.core.config import Atom
+from repro.core.config import Atom, canon_prop
 from repro.core.index_store import canon_atom
-from repro.core.vertex_bound import _canon_prop
 from repro.graphs.schema import PropertyGraph
 
 #: default selectivity for inequality/range atoms with no hint
@@ -109,7 +107,7 @@ class Catalogue:
 
     def prop_eq_sel(self, prop: str) -> float:
         """Selectivity of an equality on a property (1/NDV)."""
-        prop = _canon_prop(prop)
+        prop = canon_prop(prop)
         if prop == "vid":
             return 1.0 / max(1, self.n_vertices)
         return 1.0 / self.ndv.get(prop, 10)

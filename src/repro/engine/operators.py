@@ -7,22 +7,27 @@ an edge variable ``e1`` binds ``e1__eid`` plus ``e1__<prop>``.
 
 Operators:
 
-* :class:`Scan` — match one query vertex from the vertex table.
+* :class:`Scan` — match one query vertex from the vertex table,
+  selecting by its label and its own literal predicates.
 * :class:`Extend` — E/I with z=1: extend every partial match through an
   adjacency list bound to a vertex (default/vertex-bound index) or to
   an edge (edge-bound index).  Partition-column equalities are lookup
   keys (no predicate evaluation); ``array_preds`` prune inside the
-  sorted list pre-explode (binary-search analog); ``post_preds`` run as
-  per-row predicates afterwards (the expensive path the indexes avoid).
+  sorted list pre-explode (binary-search analog).
 * :class:`CloseExtend` — E/I closing an edge between two already-bound
-  vertices by probing the list (used by binary-join baselines too).
+  vertices by probing the list (the binary joins of the TG and N4
+  engines, and GF's plans when no intersection applies).
 * :class:`IntersectExtend` — E/I with z≥2: multiway intersection of
   neighbour-id-sorted lists (WCO-style closure).
 * :class:`MultiExtend` — the paper's new operator: intersects z lists
   sorted on a *property* and extends by z query vertices whose
   neighbours agree on that property (Section 4.1).
-* :class:`Filter`, :class:`FetchProps` — predicate evaluation and
-  vertex-property lookup.
+* :class:`Filter` — the one operator that evaluates predicates on
+  partial matches (the expensive path the indexes avoid), reading any
+  property the matches lack from the property store.  The optimizer
+  places one directly after each list access whose predicates the
+  index could not enforce.
+* :class:`FetchProps` — vertex-property lookup.
 
 Every list lookup and property-store read is an index probe, not a
 repartitioning join: the index or property-store side is a cached,
@@ -41,11 +46,10 @@ from dataclasses import dataclass
 from pyspark.sql import Column, DataFrame
 from pyspark.sql import functions as F
 
-from repro.core.config import Atom
+from repro.core.config import Atom, canon_prop
 from repro.core.edge_bound import EdgeBoundIndex
 from repro.core.index_store import IndexStore
 from repro.core.probes import ListAccess, ListIndex
-from repro.core.vertex_bound import _canon_prop
 from repro.graphs.schema import PropertyGraph
 
 
@@ -130,7 +134,7 @@ def _fetch_missing_props(
     need_e: dict[str, set] = {}
 
     def visit(ref) -> None:
-        var, prop = ref[0], _canon_prop(ref[1])
+        var, prop = ref[0], canon_prop(ref[1])
         if prop == "vid" or f"{var}__{prop}" in cols:
             return
         if var in cols and prop in vprops:
@@ -153,7 +157,7 @@ def _fetch_missing_props(
 
 def resolve_ref(columns: list[str], ref: tuple[str, str]) -> Column:
     """Resolve an Atom reference against match-DataFrame columns."""
-    var, prop = ref[0], _canon_prop(ref[1])
+    var, prop = ref[0], canon_prop(ref[1])
     if prop == "vid" and var in columns:
         return F.col(var)
     if prop == "vid" and f"{var}__eid" in columns:
@@ -209,7 +213,6 @@ class Extend:
     to_var: str
     edge_var: str
     access: ListAccess
-    post_preds: tuple[Atom, ...] = ()
 
     def apply(self, ctx: EngineContext, matches: DataFrame) -> DataFrame:
         df, idx = _probe_join(ctx, matches, self.from_var, self.access, "0")
@@ -219,16 +222,10 @@ class Extend:
             *_entry_projection(F.col("__x"), idx.struct_fields,
                                self.to_var, self.edge_var),
         )
-        if self.post_preds:
-            df = _fetch_missing_props(ctx, df, self.post_preds)
-            df = df.where(compile_atoms(df, self.post_preds))
         return df
 
     def describe(self) -> str:
-        s = f"EXTEND({self.from_var}->{self.to_var} {self.access.describe()}"
-        if self.post_preds:
-            s += " post:" + " & ".join(map(str, self.post_preds))
-        return s + ")"
+        return f"EXTEND({self.from_var}->{self.to_var} {self.access.describe()})"
 
 
 @dataclass(frozen=True)
@@ -239,7 +236,6 @@ class CloseExtend:
     to_existing: str
     edge_var: str
     access: ListAccess
-    post_preds: tuple[Atom, ...] = ()
 
     def apply(self, ctx: EngineContext, matches: DataFrame) -> DataFrame:
         df, idx = _probe_join(ctx, matches, self.from_var, self.access, "0")
@@ -255,9 +251,6 @@ class CloseExtend:
                 continue
             cols.append(x[f_].alias(f"{self.edge_var}__{f_}"))
         df = df.select(matches["*"], *cols)
-        if self.post_preds:
-            df = _fetch_missing_props(ctx, df, self.post_preds)
-            df = df.where(compile_atoms(df, self.post_preds))
         return df
 
     def describe(self) -> str:
@@ -317,7 +310,6 @@ class MultiExtend:
 
     targets: tuple[ExtTarget, ...]
     key_field: str
-    post_preds: tuple[Atom, ...] = ()
 
     def __post_init__(self) -> None:
         if len(self.targets) < 2:
@@ -352,9 +344,6 @@ class MultiExtend:
                                            t.to_var, t.edge_var)
             ],
         )
-        if self.post_preds:
-            df = _fetch_missing_props(ctx, df, self.post_preds)
-            df = df.where(compile_atoms(df, self.post_preds))
         return df
 
     def describe(self) -> str:
@@ -366,6 +355,8 @@ class MultiExtend:
 
 @dataclass(frozen=True)
 class Filter:
+    """Keep the matches that satisfy every atom of ``preds``."""
+
     preds: tuple[Atom, ...]
 
     def apply(self, ctx: EngineContext, matches: DataFrame) -> DataFrame:

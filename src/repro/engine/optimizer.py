@@ -16,22 +16,41 @@ extension's predicates; every candidate access yields a plan
 alternative.  The cost metric is **i-cost**: the estimated total length
 of adjacency lists accessed.  A list narrowed by index partitioning, a
 stored view predicate, or sorted-array pruning counts only its narrowed
-length, while predicates evaluated per edge (``post_preds``) do not
-shrink the accessed length — this asymmetry is what makes the optimizer
-prefer A+ indexes that subsume predicates, as in the paper.
+length, while predicates a ``Filter`` evaluates per edge right after
+the access do not shrink the accessed length — this asymmetry is what
+makes the optimizer prefer A+ indexes that subsume predicates, as in
+the paper.
 
-``PlannerOptions`` switches restrict the plan space; the Section-5.6
-baseline engines are expressed as restrictions in
-``repro.engine.baselines``.
+``engine`` picks one of the three engines Section 5.6 compares
+(Table 7).  Neo4j and TigerGraph are closed-source and not installable
+offline, so they are simulated as capability restrictions of the same
+engine — the honest way to reproduce the table's shape on one
+substrate:
+
+* **GF (GraphflowDB)** — the full plan space above: WCO intersections,
+  MULTI-EXTEND, sorted-array pruning and secondary indexes (Table 7
+  runs it on the ``D_p`` default indexes).
+* **TG (TigerGraph-like)** — a typed-graph traversal engine: granular
+  edge-label lists and filter pushdown, but binary ``Extend``/
+  ``CloseExtend`` joins over the default lists only — no intersections,
+  no sorted-list pruning, no secondary indexes.
+* **N4 (Neo4j-like)** — an EXPAND-then-FILTER pipeline: TG's binary
+  joins over granular edge-label ("relationship type") lists, with every
+  label and property predicate applied as a ``Filter`` at the end of
+  the pipeline rather than pushed into the traversal (Cypher's
+  Expand(a)→Filter(a:Label) plan shape).
+
+Absolute gaps to the real systems (e.g. Neo4j's record-at-a-time
+interpretation overhead) are *not* simulated; DESIGN.md documents this
+substitution and EXPERIMENTS.md flags it next to Table 7.
 """
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, replace
 
-from repro.core.config import NBR, Atom, propref_col
+from repro.core.config import NBR, Atom, canon_prop, propref_col
 from repro.core.index_store import canon_atom, normalize_nbr_role
-from repro.core.vertex_bound import _canon_prop
 from repro.core.views import ORIENTATIONS
 from repro.engine.catalogue import Catalogue
 from repro.engine.operators import (
@@ -51,18 +70,8 @@ from repro.engine.plans import Plan
 
 _EPS = 1e-9
 
-
-@dataclass(frozen=True)
-class PlannerOptions:
-    """Plan-space switches (all on for the full A+ system)."""
-
-    allow_intersect: bool = True
-    allow_multi_extend: bool = True
-    allow_vertex_bound: bool = True
-    allow_edge_bound: bool = True
-    allow_array_preds: bool = True  # sorted-list pruning
-    allow_granular: bool = True  # partition-column lookup keys
-    push_filters: bool = True  # False: defer all non-structural filters
+#: the engines of Section 5.6 (Table 7)
+ENGINES = ("GF", "TG", "N4")
 
 
 @dataclass(frozen=True)
@@ -90,16 +99,26 @@ class PState:
     card: float
 
 
+def _then_filter(op, post: tuple[Atom, ...]) -> tuple:
+    """``op``, then a FILTER of the predicates its list access left over."""
+    return (op, Filter(post)) if post else (op,)
+
+
 class Optimizer:
     def __init__(
-        self,
-        ctx: EngineContext,
-        catalogue: Catalogue,
-        options: PlannerOptions = PlannerOptions(),
+        self, ctx: EngineContext, catalogue: Catalogue, engine: str = "GF"
     ) -> None:
+        if engine not in ENGINES:
+            raise ValueError(
+                f"unknown engine {engine!r}: expected one of {ENGINES}"
+            )
         self.ctx = ctx
         self.cat = catalogue
-        self.opt = options
+        # GF plans over the whole A+ plan space; TG and N4 use binary
+        # Extend/CloseExtend joins over granular default lists only
+        self.a_plus = engine == "GF"
+        # N4 defers every non-structural predicate to the end of the plan
+        self.defer = engine == "N4"
 
     # ------------------------------------------------------------------
     def plan(self, q: QueryGraph) -> Plan:
@@ -134,7 +153,7 @@ class Optimizer:
     # ------------------------------------------------------------------
     def _scan_state(self, q: QueryGraph, var: str) -> PState:
         qv = q.vertex(var)
-        if not self.opt.push_filters:
+        if self.defer:
             return PState(
                 frozenset({var}), frozenset(), frozenset({var}),
                 frozenset(), (Scan(var),), 0.0,
@@ -168,7 +187,7 @@ class Optimizer:
             if conn:
                 one_edge[x] = conn
                 yield from self._extend_transitions(q, st, x, conn)
-        if self.opt.allow_multi_extend:
+        if self.a_plus:
             yield from self._multi_transitions(q, st, one_edge)
 
     # -- single-vertex E/I ---------------------------------------------
@@ -179,12 +198,11 @@ class Optimizer:
         if len(conn) == 1:
             for cand in cand_sets[0]:
                 evar = conn[0].name
-                op = Extend(cand.from_var, x, evar, cand.access,
-                            post_preds=cand.post_atoms)
+                op = Extend(cand.from_var, x, evar, cand.access)
                 nxt = PState(
                     st.bound_v | {x}, st.bound_e | {evar},
                     st.props_v | {x}, st.applied | cand.satisfied,
-                    st.ops + (op,),
+                    st.ops + _then_filter(op, cand.post_atoms),
                     st.cost + st.card * cand.est_accessed,
                     st.card * max(cand.est_out, _EPS),
                 )
@@ -193,7 +211,7 @@ class Optimizer:
         # z >= 2 WCO intersection: all lists id-sorted; predicates on the
         # closing edges must be enforced by the accesses (the new
         # vertex's own predicates can still be filtered afterwards).
-        if self.opt.allow_intersect:
+        if self.a_plus:
             usable = []
             for cs in cand_sets:
                 ok = [
@@ -225,8 +243,9 @@ class Optimizer:
         picks = [min(cs, key=lambda c: c.est_accessed) for cs in cand_sets]
         first = min(range(len(conn)), key=lambda i: picks[i].est_accessed)
         c0 = picks[first]
-        ops = [Extend(c0.from_var, x, conn[first].name, c0.access,
-                      post_preds=c0.post_atoms)]
+        ops = list(_then_filter(
+            Extend(c0.from_var, x, conn[first].name, c0.access), c0.post_atoms
+        ))
         cost = st.cost + st.card * c0.est_accessed
         card = st.card * max(c0.est_out, _EPS)
         sat = set(c0.satisfied)
@@ -235,8 +254,9 @@ class Optimizer:
             if i == first:
                 continue
             ci = picks[i]
-            ops.append(CloseExtend(ci.from_var, x, c.name, ci.access,
-                                   post_preds=ci.post_atoms))
+            ops.extend(_then_filter(
+                CloseExtend(ci.from_var, x, c.name, ci.access), ci.post_atoms
+            ))
             cost += card * ci.est_accessed
             card *= max(ci.est_out, _EPS) / max(1, self.cat.n_vertices)
             sat |= ci.satisfied
@@ -256,8 +276,8 @@ class Optimizer:
         links: dict[str, set[frozenset]] = {}
         for a in q.preds:
             if a.op == "=" and a.rhs_is_ref and not a.delta:
-                va, pa = a.lhs[0], _canon_prop(a.lhs[1])
-                vb, pb = a.rhs[0], _canon_prop(a.rhs[1])
+                va, pa = a.lhs[0], canon_prop(a.lhs[1])
+                vb, pb = a.rhs[0], canon_prop(a.rhs[1])
                 if pa == pb and va in singles and vb in singles and va != vb:
                     links.setdefault(pa, set()).add(frozenset((va, vb)))
         for prop, pairs in links.items():
@@ -311,19 +331,19 @@ class Optimizer:
         eq_atoms = [
             a for a in q.preds
             if a.op == "=" and a.rhs_is_ref and not a.delta
-            and _canon_prop(a.lhs[1]) == prop
-            and _canon_prop(a.rhs[1]) == prop
+            and canon_prop(a.lhs[1]) == prop
+            and canon_prop(a.rhs[1]) == prop
             and {a.lhs[0], a.rhs[0]} <= set(T)
         ]
         sat |= {canon_atom(a) for a in eq_atoms}
         out *= self.cat.prop_eq_sel(prop) ** (len(T) - 1)
-        op = MultiExtend(tuple(targets), field_name, post_preds=tuple(posts))
+        op = MultiExtend(tuple(targets), field_name)
         nxt = PState(
             st.bound_v | set(T),
             st.bound_e | {t.edge_var for t in targets},
             st.props_v | set(T),
             st.applied | frozenset(sat),
-            st.ops + (op,),
+            st.ops + _then_filter(op, tuple(posts)),
             st.cost + st.card * acc,
             st.card * max(out, _EPS),
         )
@@ -352,44 +372,39 @@ class Optimizer:
         v_rolemap = {evar: "e_adj", x: nbr_role, u: src_role}
         pairs_v = [(a, self._translate(a, v_rolemap)) for a in local_q]
 
-        cands: list[AccessCand] = []
-        cands += self._index_cands(
-            self.ctx.store.default(d), u, d, pairs_v
-        )
-        if self.opt.allow_vertex_bound:
-            role_atoms = [ra for _, ra in pairs_v]
-            for vb in self.ctx.store.match_vertex_bound(d, role_atoms):
-                cands += self._index_cands(
-                    vb, u, d, pairs_v, view_atoms=vb.view.predicates
+        cands = self._index_cands(self.ctx.store.default(d), u, d, pairs_v)
+        if not self.a_plus:
+            return cands
+        role_atoms = [ra for _, ra in pairs_v]
+        for vb in self.ctx.store.match_vertex_bound(d, role_atoms):
+            cands += self._index_cands(
+                vb, u, d, pairs_v, view_atoms=vb.view.predicates
+            )
+        for bvar in st.bound_e:
+            qb = q.edge(bvar)
+            for anch in ("dst", "src"):
+                if getattr(qb, anch) != u:
+                    continue
+                ori = next(
+                    (o for o in ORIENTATIONS.values()
+                     if o.anchor == anch and o.adj_dir == d), None,
                 )
-        if self.opt.allow_edge_bound:
-            for bvar in st.bound_e:
-                qb = q.edge(bvar)
-                for anch in ("dst", "src"):
-                    if getattr(qb, anch) != u:
+                if ori is None:
+                    continue
+                ebmap = {bvar: "e_b", evar: "e_adj", x: "v_nbr",
+                         u: "v_shared"}
+                pairs_eb = [(a, self._translate(a, ebmap)) for a in local_q]
+                for a in q.preds:
+                    if canon_atom(a) in st.applied:
                         continue
-                    ori = next(
-                        (o for o in ORIENTATIONS.values()
-                         if o.anchor == anch and o.adj_dir == d), None,
+                    ents = a.entities()
+                    if bvar in ents and ents <= {bvar, evar, x, u}:
+                        pairs_eb.append((a, self._translate(a, ebmap)))
+                role_atoms = [ra for _, ra in pairs_eb]
+                for eb in self.ctx.store.match_edge_bound(ori, role_atoms):
+                    cands += self._index_cands(
+                        eb, bvar, d, pairs_eb, view_atoms=eb.view.predicates,
                     )
-                    if ori is None:
-                        continue
-                    ebmap = {bvar: "e_b", evar: "e_adj", x: "v_nbr",
-                             u: "v_shared"}
-                    pairs_eb = [(a, self._translate(a, ebmap))
-                                for a in local_q]
-                    for a in q.preds:
-                        if canon_atom(a) in st.applied:
-                            continue
-                        ents = a.entities()
-                        if bvar in ents and ents <= {bvar, evar, x, u}:
-                            pairs_eb.append((a, self._translate(a, ebmap)))
-                    role_atoms = [ra for _, ra in pairs_eb]
-                    for eb in self.ctx.store.match_edge_bound(ori, role_atoms):
-                        cands += self._index_cands(
-                            eb, bvar, d, pairs_eb,
-                            view_atoms=eb.view.predicates,
-                        )
         return cands
 
     @staticmethod
@@ -406,7 +421,7 @@ class Optimizer:
         ``pairs`` is [(query atom, role atom)].  Atoms enforced by the
         index's *view* are free; partition-column equalities become
         lookup keys; leading-sort-column literals become array
-        predicates; the rest run as per-edge post predicates.
+        predicates; the rest are left to a FILTER after the access.
         """
         view_canon = {
             canon_atom(normalize_nbr_role(v, d)) for v in view_atoms
@@ -421,24 +436,23 @@ class Optimizer:
 
         cfg = idx.config
         part_eq: list[tuple[str, object]] = []
-        if self.opt.allow_granular:
-            for ref in cfg.partition_by:
-                col = propref_col(ref)
-                hit = next(
-                    ((qa, ra) for qa, ra in rest
-                     if ra.op == "=" and not ra.rhs_is_ref
-                     and self._role_col(ra, d) == col),
-                    None,
-                )
-                if hit is None:
-                    break
-                part_eq.append((col, hit[0].rhs))
-                satisfied.add(canon_atom(hit[0]))
-                rest.remove(hit)
+        for ref in cfg.partition_by:
+            col = propref_col(ref)
+            hit = next(
+                ((qa, ra) for qa, ra in rest
+                 if ra.op == "=" and not ra.rhs_is_ref
+                 and self._role_col(ra, d) == col),
+                None,
+            )
+            if hit is None:
+                break
+            part_eq.append((col, hit[0].rhs))
+            satisfied.add(canon_atom(hit[0]))
+            rest.remove(hit)
 
         array_preds: list[tuple[str, str, object]] = []
         sort_field = propref_col(cfg.sort_by[0]) if cfg.sort_by else None
-        if self.opt.allow_array_preds and cfg.sort_by:
+        if self.a_plus and cfg.sort_by:
             for i, ref in enumerate(cfg.sort_by):
                 col = propref_col(ref)
                 hits = [
@@ -456,11 +470,11 @@ class Optimizer:
                     if i + 1 < len(cfg.sort_by) else None
                 )
 
-        if self.opt.push_filters:
+        if self.defer:
+            post = ()
+        else:
             post = tuple(qa for qa, _ in rest)
             satisfied |= {canon_atom(qa) for qa in post}
-        else:
-            post = ()
 
         id_sorted = bool(cfg.sort_by) and cfg.sort_by[-1] == (NBR, "vid")
         if id_sorted and len(cfg.sort_by) > 1:
@@ -488,7 +502,7 @@ class Optimizer:
     @staticmethod
     def _role_col(ra: Atom, d: str) -> str | None:
         """List-table column a role-space reference addresses, if any."""
-        ent, prop = ra.lhs[0], _canon_prop(ra.lhs[1])
+        ent, prop = ra.lhs[0], canon_prop(ra.lhs[1])
         if ent == "e_adj":
             return "eid" if prop == "vid" else prop
         nbr = "v_d" if d == "fw" else "v_s"
@@ -501,7 +515,7 @@ class Optimizer:
         vlab = next((v for c, v in part_eq if c == "nbr_vlabel"), None)
         stored = self.cat.avg_len(d, elab, vlab)
         for a in view_atoms:
-            if _canon_prop(a.lhs[1]) == "elabel" and a.op == "=" and elab:
+            if canon_prop(a.lhs[1]) == "elabel" and a.op == "=" and elab:
                 continue
             stored *= self.cat.atom_sel(a)
         accessed = stored
@@ -515,7 +529,7 @@ class Optimizer:
 
     # -- filter application --------------------------------------------
     def _apply_pending(self, q, st: PState, force_all: bool = False) -> PState:
-        if not self.opt.push_filters and not force_all:
+        if self.defer and not force_all:
             return st
         ops = list(st.ops)
         applied = set(st.applied)
@@ -534,9 +548,9 @@ class Optimizer:
                     continue
                 for v in sorted(need_v):
                     uses_prop = (
-                        (a.lhs[0] == v and _canon_prop(a.lhs[1]) != "vid")
+                        (a.lhs[0] == v and canon_prop(a.lhs[1]) != "vid")
                         or (a.rhs_is_ref and a.rhs[0] == v
-                            and _canon_prop(a.rhs[1]) != "vid")
+                            and canon_prop(a.rhs[1]) != "vid")
                     )
                     if uses_prop and v not in props_v:
                         ops.append(FetchProps(v))

@@ -17,8 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.core.config import Atom
-from repro.core.vertex_bound import _canon_prop
+from repro.core.config import Atom, canon_prop
 
 
 @dataclass(frozen=True)
@@ -85,7 +84,7 @@ class QueryGraph:
 
 
 def _sql_ref(q: QueryGraph, ref: tuple[str, str]) -> str:
-    var, prop = ref[0], _canon_prop(ref[1])
+    var, prop = ref[0], canon_prop(ref[1])
     if var in q.vertex_names:
         return f"t_{var}.vid" if prop == "vid" else f"t_{var}.{prop}"
     if var in q.edge_names:

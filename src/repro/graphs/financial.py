@@ -17,7 +17,6 @@ the paper's "we set alpha ... to have a 5% selectivity".
 from __future__ import annotations
 
 import numpy as np
-import pandas as pd
 
 from repro.graphs.schema import PropertyGraph
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 import pandas as pd
 
-from repro.core.config import IndexConfig, propref_col
+from repro.core.config import IndexConfig
 from repro.graphs.schema import PropertyGraph
 
 

@@ -20,11 +20,9 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 from pyspark.sql import SparkSession
 
-from repro.core.index_store import IndexStore
 from repro.engine.catalogue import Catalogue
 from repro.engine.operators import EngineContext
 from repro.engine.optimizer import Optimizer
-from repro.engine.baselines import plan_with
 from repro.graphs.financial import (
     calibrate_alpha,
     decorate_financial,
@@ -290,7 +288,7 @@ def run_table7(
             store = build_Dp(g) if engine == "GF" else build_D(g)
             ctx = EngineContext(g, store)
             for qname in queries:
-                plan = plan_with(engine, ctx, cat, qs[qname])
+                plan = Optimizer(ctx, cat, engine).plan(qs[qname])
                 secs, n = timed_count(plan, ctx)
                 cells.append(
                     Cell("table7", f"{ds}_{i}_{j}", engine, qname, secs, n)

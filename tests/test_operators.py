@@ -108,15 +108,15 @@ def test_extend_default_granular(ctx, g):
 
 
 def test_extend_post_pred_equals_partitioned(ctx, g):
-    """Unpartitioned access + post predicate == granular access."""
+    """Unpartitioned access + FILTER == granular access."""
     base = (Scan("a1"),)
     via_part = Plan(
         "p", base + (Extend("a1", "a2", "e1",
                             ListAccess("D.fw", part_eq=(("elabel", "W"),))),)
     ).execute(ctx)
     via_post = Plan(
-        "q", base + (Extend("a1", "a2", "e1", ListAccess("D.fw"),
-                            post_preds=(Atom(("e1", "label"), "=", "W"),)),)
+        "q", base + (Extend("a1", "a2", "e1", ListAccess("D.fw")),
+                     Filter((Atom(("e1", "label"), "=", "W"),)))
     ).execute(ctx)
     a = sorted(map(tuple, via_part.select("a1", "a2", "e1__eid").collect()))
     b = sorted(map(tuple, via_post.select("a1", "a2", "e1__eid").collect()))
@@ -282,8 +282,8 @@ def test_extend_from_edge_bound(ctx, g):
         "mf",
         (
             Scan("a1"),
-            Extend("a1", "a2", "e1", ListAccess("D.fw"),
-                   post_preds=(Atom(("e1", "vid"), "=", 13),)),
+            Extend("a1", "a2", "e1", ListAccess("D.fw")),
+            Filter((Atom(("e1", "vid"), "=", 13),)),
             Extend("e1", "a3", "e2", ListAccess("EB.mf")),
         ),
     ).execute(ctx)
@@ -307,12 +307,12 @@ def test_edge_bound_equals_post_filtered_default(ctx, g):
         (
             Scan("a1"),
             Extend("a1", "a2", "e1", ListAccess("D.fw")),
-            Extend("a2", "a3", "e2", ListAccess("D.fw"),
-                   post_preds=(
-                       Atom(("e1", "date"), "<", ("e2", "date")),
-                       Atom(("e2", "amt"), "<", ("e1", "amt")),
-                       Atom(("e2", "vid"), "!=", ("e1", "vid")),
-                   )),
+            Extend("a2", "a3", "e2", ListAccess("D.fw")),
+            Filter((
+                Atom(("e1", "date"), "<", ("e2", "date")),
+                Atom(("e2", "amt"), "<", ("e1", "amt")),
+                Atom(("e2", "vid"), "!=", ("e1", "vid")),
+            )),
         ),
     ).execute(ctx)
     cols = ["a1", "a2", "a3", "e1__eid", "e2__eid"]
@@ -609,11 +609,11 @@ def test_operators_on_synthetic_financial_graph(spark):
         (
             Scan("a1", "V0"),
             Extend("a1", "a2", "e1",
-                   ListAccess("D.fw", part_eq=(("elabel", "E0"),)),
-                   post_preds=(Atom(("a2", "vlabel"), "=", "V1"),)),
+                   ListAccess("D.fw", part_eq=(("elabel", "E0"),))),
+            Filter((Atom(("a2", "vlabel"), "=", "V1"),)),
             Extend("a2", "a3", "e2",
-                   ListAccess("D.fw", part_eq=(("elabel", "E1"),)),
-                   post_preds=(Atom(("e2", "amt"), ">", 500.0),)),
+                   ListAccess("D.fw", part_eq=(("elabel", "E1"),))),
+            Filter((Atom(("e2", "amt"), ">", 500.0),)),
         ),
     ).execute(ctx)
     check_pattern(df, q, g, project_edges=("e1", "e2"))

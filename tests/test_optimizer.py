@@ -12,9 +12,9 @@ from repro.core.edge_bound import build_edge_bound
 from repro.core.index_store import IndexStore
 from repro.core.vertex_bound import build_vertex_bound
 from repro.core.views import DST_FW, EdgeView, TwoPathView
-from repro.engine.baselines import BASELINES, plan_with
 from repro.engine.catalogue import Catalogue
 from repro.engine.operators import (
+    CloseExtend,
     EngineContext,
     Extend,
     Filter,
@@ -22,7 +22,7 @@ from repro.engine.operators import (
     MultiExtend,
     Scan,
 )
-from repro.engine.optimizer import Optimizer, PlannerOptions
+from repro.engine.optimizer import ENGINES, Optimizer
 from repro.engine.patterns import QEdge, QueryGraph, QVertex
 from repro.graphs.financial import decorate_financial, decorate_time
 from repro.graphs.generators import dataset
@@ -83,6 +83,16 @@ def cat(g):
     return Catalogue.build(g)
 
 
+def _without(ctx, *names):
+    """``ctx`` over the same indexes, less the secondary ones named."""
+    s = ctx.store
+    return EngineContext(ctx.graph, IndexStore(
+        s.default_fw, s.default_bw,
+        [i for i in s.vertex_bound if i.name not in names],
+        [i for i in s.edge_bound if i.name not in names],
+    ))
+
+
 def _ops(plan, kind):
     return [op for op in plan.ops if isinstance(op, kind)]
 
@@ -102,8 +112,7 @@ def test_triangle_uses_intersection(ctx, cat, g):
 
 
 def test_triangle_correct_without_intersection(ctx, cat, g):
-    opt = Optimizer(ctx, cat, PlannerOptions(allow_intersect=False))
-    plan = opt.plan(TRIANGLE)
+    plan = Optimizer(ctx, cat, engine="TG").plan(TRIANGLE)
     assert not _ops(plan, IntersectExtend)
     check_pattern(plan.execute(ctx), TRIANGLE, g)
 
@@ -148,8 +157,11 @@ def test_label_handling_under_three_configs(g, cat):
                 for e in ext
             ), plan.explain()
         else:
+            # D: a FILTER directly after the Extend that binds the label
             assert any(
-                any(a.lhs[1] == "vlabel" for a in e.post_preds) for e in ext
+                isinstance(op, Filter) and isinstance(prev, Extend)
+                and any(a.lhs[1] == "vlabel" for a in op.preds)
+                for prev, op in zip(plan.ops, plan.ops[1:])
             ), plan.explain()
         df = plan.execute(ctx)
         check_pattern(df, LABELED, g, project_edges=("e1", "e2"))
@@ -180,12 +192,12 @@ def test_time_predicate_without_vbt_is_post(ctx, cat, g):
         (QEdge("e1", "a1", "a2", "E0"),),
         (Atom(("e1", "time"), ">", 900_000),),
     )
-    opt = Optimizer(ctx, cat, PlannerOptions(allow_vertex_bound=False))
-    plan = opt.plan(q)
+    no_vbt = _without(ctx, "VBt.fw")
+    plan = Optimizer(no_vbt, cat).plan(q)
     ext = _ops(plan, Extend)[0]
     assert ext.access.index == "D.fw"
     assert not ext.access.array_preds
-    check_pattern(plan.execute(ctx), q, g, project_edges=("e1",))
+    check_pattern(plan.execute(no_vbt), q, g, project_edges=("e1",))
 
 
 MONEYFLOW_2 = QueryGraph(
@@ -208,10 +220,10 @@ def test_cross_edge_predicates_prefer_edge_bound(ctx, cat, g):
 
 
 def test_edge_bound_disabled_falls_back(ctx, cat, g):
-    opt = Optimizer(ctx, cat, PlannerOptions(allow_edge_bound=False))
-    plan = opt.plan(MONEYFLOW_2)
+    no_eb = _without(ctx, "EBc")
+    plan = Optimizer(no_eb, cat).plan(MONEYFLOW_2)
     assert all(op.access.index != "EBc" for op in _ops(plan, Extend))
-    check_pattern(plan.execute(ctx), MONEYFLOW_2, g,
+    check_pattern(plan.execute(no_eb), MONEYFLOW_2, g,
                   project_edges=("e1", "e2"))
 
 
@@ -232,10 +244,11 @@ def test_city_equality_uses_multi_extend(ctx, cat, g):
 
 
 def test_multi_extend_disabled_same_result(ctx, cat, g):
-    opt = Optimizer(ctx, cat, PlannerOptions(allow_multi_extend=False))
-    plan = opt.plan(FAN_CITY)
+    no_vbc = _without(ctx, "VBc.fw", "VBc.bw")
+    plan = Optimizer(no_vbc, cat).plan(FAN_CITY)
     assert not _ops(plan, MultiExtend)
-    check_pattern(plan.execute(ctx), FAN_CITY, g, project_edges=("e1", "e2"))
+    check_pattern(plan.execute(no_vbc), FAN_CITY, g,
+                  project_edges=("e1", "e2"))
 
 
 def test_anchor_predicate_applied_at_scan(ctx, cat):
@@ -260,20 +273,35 @@ def test_disconnected_pattern_raises(ctx, cat):
         Optimizer(ctx, cat).plan(q)
 
 
-@pytest.mark.parametrize("engine", list(BASELINES))
+@pytest.mark.parametrize("engine", ENGINES)
 def test_baselines_correct_and_restricted(ctx, cat, g, engine):
-    plan = plan_with(engine, ctx, cat, LABELED)
-    if engine != "GF":
-        assert not _ops(plan, IntersectExtend)
-        assert not _ops(plan, MultiExtend)
-        assert all(
-            op.access.index.startswith("D.") for op in _ops(plan, Extend)
-        )
-    check_pattern(plan.execute(ctx), LABELED, g, project_edges=("e1", "e2"))
+    """Each engine on patterns that exercise the fixture's VBt, VBc and
+    EBc indexes: TG and N4 plan binary joins over the default lists."""
+    opt = Optimizer(ctx, cat, engine=engine)
+    for q in (LABELED, TRIANGLE, FAN_CITY, MONEYFLOW_2):
+        plan = opt.plan(q)
+        if engine != "GF":
+            assert not _ops(plan, IntersectExtend), plan.explain()
+            assert not _ops(plan, MultiExtend), plan.explain()
+            lists = _ops(plan, Extend) + _ops(plan, CloseExtend)
+            assert all(
+                op.access.index.startswith("D.")
+                and not op.access.array_preds
+                for op in lists
+            ), plan.explain()
+        df = plan.execute(ctx)
+        # an intersection binds no closing-edge ids
+        edges = tuple(e for e in q.edge_names if f"{e}__eid" in df.columns)
+        check_pattern(df, q, g, project_edges=edges)
+
+
+def test_unknown_engine_raises(ctx, cat):
+    with pytest.raises(ValueError, match="unknown engine"):
+        Optimizer(ctx, cat, engine="GraphflowDB")
 
 
 def test_n4_like_defers_filters(ctx, cat):
-    plan = plan_with("N4", ctx, cat, LABELED)
+    plan = Optimizer(ctx, cat, engine="N4").plan(LABELED)
     scan = plan.ops[0]
     assert isinstance(scan, Scan) and scan.vlabel is None and not scan.preds
     assert _ops(plan, Filter), plan.explain()
