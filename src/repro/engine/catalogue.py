@@ -6,9 +6,10 @@ lists (e.g. the forward Wire list of a vertex).  At reproduction scale
 we compute the averages exactly with Spark aggregations — cheap, and it
 removes estimation noise from plan-choice tests.  Predicate selectivity
 defaults follow the paper's approach of multiplying list lengths by the
-estimated selectivity of non-label predicates; callers can override per
-atom via ``sel_hints`` (the paper likewise sets the alpha windows to
-known selectivities).
+estimated selectivity of non-label predicates (a vertex-label atom's
+selectivity is the label's exact share of the vertices); callers can
+override per atom via ``sel_hints`` (the paper likewise sets the alpha
+windows to known selectivities).
 """
 from __future__ import annotations
 
@@ -100,11 +101,6 @@ class Catalogue:
     ) -> float:
         return self.avg_len_map.get((direction, elabel, nbr_vlabel), 0.0)
 
-    def vlabel_sel(self, vlabel: str | None) -> float:
-        if vlabel is None:
-            return 1.0
-        return self.vlabel_frac.get(vlabel, 0.0)
-
     def prop_eq_sel(self, prop: str) -> float:
         """Selectivity of an equality on a property (1/NDV)."""
         prop = canon_prop(prop)
@@ -117,6 +113,8 @@ class Catalogue:
         hit = self.sel_hints.get(canon_atom(atom))
         if hit is not None:
             return hit
+        if atom.op == "=" and canon_prop(atom.lhs[1]) == "vlabel":
+            return self.vlabel_frac.get(atom.rhs, 0.0)
         if atom.op == "=":
             return self.prop_eq_sel(atom.lhs[1])
         if atom.op == "!=":

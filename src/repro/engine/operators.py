@@ -8,7 +8,7 @@ an edge variable ``e1`` binds ``e1__eid`` plus ``e1__<prop>``.
 Operators:
 
 * :class:`Scan` — match one query vertex from the vertex table,
-  selecting by its label and its own literal predicates.
+  selecting by its own literal atoms (its label among them).
 * :class:`Extend` — E/I with z=1: extend every partial match through an
   adjacency list bound to a vertex (default/vertex-bound index) or to
   an edge (edge-bound index).  Partition-column equalities are lookup
@@ -23,11 +23,12 @@ Operators:
   sorted on a *property* and extends by z query vertices whose
   neighbours agree on that property (Section 4.1).
 * :class:`Filter` — the one operator that evaluates predicates on
-  partial matches (the expensive path the indexes avoid), reading any
-  property the matches lack from the property store.  The optimizer
-  places one directly after each list access whose predicates the
-  index could not enforce.
-* :class:`FetchProps` — vertex-property lookup.
+  partial matches (the expensive path the indexes avoid), and the one
+  that reads the property store after SCAN: it joins only the
+  properties its atoms need and the matches lack.  The optimizer
+  places at most one after each list-access operator, with every atom
+  that access left over or that the operator's new bindings make
+  evaluable.
 
 Every list lookup and property-store read is an index probe, not a
 repartitioning join: the index or property-store side is a cached,
@@ -183,10 +184,10 @@ def compile_atoms(df: DataFrame, atoms: tuple[Atom, ...]) -> Column:
 
 @dataclass(frozen=True)
 class Scan:
-    """Match one query vertex against the vertex table."""
+    """Match one query vertex against the vertex table, keeping the
+    vertices that satisfy every atom of ``preds``."""
 
     var: str
-    vlabel: str | None = None
     preds: tuple[Atom, ...] = ()
 
     def apply(self, ctx: EngineContext, matches: DataFrame | None) -> DataFrame:
@@ -194,15 +195,13 @@ class Scan:
             raise ValueError("Scan must be the first operator of a plan")
         g = ctx.graph
         df = g.bind_vertices(self.var, tuple(g.vertex_props))
-        if self.vlabel is not None:
-            df = df.where(F.col(f"{self.var}__vlabel") == self.vlabel)
         if self.preds:
             df = df.where(compile_atoms(df, self.preds))
         return df
 
     def describe(self) -> str:
-        lbl = f":{self.vlabel}" if self.vlabel else ""
-        return f"SCAN({self.var}{lbl})"
+        where = ": " + " & ".join(map(str, self.preds)) if self.preds else ""
+        return f"SCAN({self.var}{where})"
 
 
 @dataclass(frozen=True)
@@ -366,23 +365,3 @@ class Filter:
     def describe(self) -> str:
         return "FILTER(" + " & ".join(map(str, self.preds)) + ")"
 
-
-@dataclass(frozen=True)
-class FetchProps:
-    """Join the vertex table to bind a variable's property columns
-    (used when a plan needs properties the lists did not carry)."""
-
-    var: str
-
-    def apply(self, ctx: EngineContext, matches: DataFrame) -> DataFrame:
-        have = set(matches.columns)
-        props = tuple(
-            p for p in ctx.graph.vertex_props
-            if f"{self.var}__{p}" not in have
-        )
-        return matches.join(
-            ctx.graph.bind_vertices(self.var, props, probe=True), self.var
-        )
-
-    def describe(self) -> str:
-        return f"FETCH({self.var})"

@@ -21,6 +21,13 @@ the access do not shrink the accessed length — this asymmetry is what
 makes the optimizer prefer A+ indexes that subsume predicates, as in
 the paper.
 
+Every constraint is an atom (``QueryGraph.atoms``: the labels, then the
+predicates), and each atom is enforced exactly once and its selectivity
+counted once: by the SCAN of its one vertex, by a list access (a view,
+a partition lookup key or a sorted-array prune), or by the one
+``Filter`` that follows each operator with the atoms its accesses left
+over and every other pending atom whose variables are now bound.
+
 ``engine`` picks one of the three engines Section 5.6 compares
 (Table 7).  Neo4j and TigerGraph are closed-source and not installable
 offline, so they are simulated as capability restrictions of the same
@@ -36,9 +43,9 @@ substrate:
   no sorted-list pruning, no secondary indexes.
 * **N4 (Neo4j-like)** — an EXPAND-then-FILTER pipeline: TG's binary
   joins over granular edge-label ("relationship type") lists, with every
-  label and property predicate applied as a ``Filter`` at the end of
-  the pipeline rather than pushed into the traversal (Cypher's
-  Expand(a)→Filter(a:Label) plan shape).
+  label and property predicate that is not a list lookup key applied
+  by one ``Filter`` at the end of the pipeline rather than pushed into
+  the traversal (Cypher's Expand(a)→Filter(a:Label) plan shape).
 
 Absolute gaps to the real systems (e.g. Neo4j's record-at-a-time
 interpretation overhead) are *not* simulated; DESIGN.md documents this
@@ -58,7 +65,6 @@ from repro.engine.operators import (
     EngineContext,
     Extend,
     ExtTarget,
-    FetchProps,
     Filter,
     IntersectExtend,
     ListAccess,
@@ -81,9 +87,8 @@ class AccessCand:
     access: ListAccess
     from_var: str  # vertex var, or bound-edge var for edge-bound access
     est_accessed: float  # avg list length touched per partial match
-    est_out: float  # avg entries surviving all predicates
     satisfied: frozenset  # canon forms of the query atoms it enforces
-    post_atoms: tuple[Atom, ...]
+    post_atoms: tuple[Atom, ...]  # the atoms it leaves to a FILTER
     id_sorted: bool  # usable in neighbour-id intersections
     sort_field: str | None  # effective leading sort field after pruning
 
@@ -92,16 +97,10 @@ class AccessCand:
 class PState:
     bound_v: frozenset
     bound_e: frozenset
-    props_v: frozenset  # vertex vars whose property columns are bound
     applied: frozenset  # canon atoms already enforced
     ops: tuple
     cost: float
     card: float
-
-
-def _then_filter(op, post: tuple[Atom, ...]) -> tuple:
-    """``op``, then a FILTER of the predicates its list access left over."""
-    return (op, Filter(post)) if post else (op,)
 
 
 class Optimizer:
@@ -139,8 +138,8 @@ class Optimizer:
                 f"no plan found for query {q.name!r} (disconnected pattern "
                 "or a predicate no allowed access path can enforce)"
             )
-        final = self._apply_pending(q, best[full], force_all=True)
-        remaining = [a for a in q.preds if canon_atom(a) not in final.applied]
+        final = self._apply_pending(q, best[full], final=True)
+        remaining = [a for a in q.atoms if canon_atom(a) not in final.applied]
         if remaining:
             raise ValueError(
                 f"query {q.name!r}: predicates "
@@ -152,27 +151,16 @@ class Optimizer:
 
     # ------------------------------------------------------------------
     def _scan_state(self, q: QueryGraph, var: str) -> PState:
-        qv = q.vertex(var)
-        if self.defer:
-            return PState(
-                frozenset({var}), frozenset(), frozenset({var}),
-                frozenset(), (Scan(var),), 0.0,
-                float(max(self.cat.n_vertices, 1)),
-            )
-        local = [
-            a for a in q.preds if a.entities() == {var} and not a.rhs_is_ref
-        ]
-        card = self.cat.n_vertices * self.cat.vlabel_sel(qv.vlabel)
+        local = () if self.defer else tuple(
+            a for a in q.atoms if a.entities() == {var} and not a.rhs_is_ref
+        )
+        card = float(max(self.cat.n_vertices, 1))
         for a in local:
             card *= self.cat.atom_sel(a)
-        applied = {canon_atom(a) for a in local}
-        if qv.vlabel is not None:
-            applied.add(canon_atom(Atom((var, "vlabel"), "=", qv.vlabel)))
         return PState(
-            frozenset({var}), frozenset(), frozenset({var}),
-            frozenset(applied),
-            (Scan(var, qv.vlabel, tuple(local)),),
-            0.0, max(card, _EPS),
+            frozenset({var}), frozenset(),
+            frozenset(canon_atom(a) for a in local),
+            (Scan(var, local),), 0.0, max(card, _EPS),
         )
 
     # ------------------------------------------------------------------
@@ -197,16 +185,7 @@ class Optimizer:
             return
         if len(conn) == 1:
             for cand in cand_sets[0]:
-                evar = conn[0].name
-                op = Extend(cand.from_var, x, evar, cand.access)
-                nxt = PState(
-                    st.bound_v | {x}, st.bound_e | {evar},
-                    st.props_v | {x}, st.applied | cand.satisfied,
-                    st.ops + _then_filter(op, cand.post_atoms),
-                    st.cost + st.card * cand.est_accessed,
-                    st.card * max(cand.est_out, _EPS),
-                )
-                yield self._apply_pending(q, nxt)
+                yield self._extend(q, st, x, conn[0], cand)
             return
         # z >= 2 WCO intersection: all lists id-sorted; predicates on the
         # closing edges must be enforced by the accesses (the new
@@ -223,50 +202,51 @@ class Optimizer:
             if all(usable):
                 picks = [min(cs, key=lambda c: c.est_accessed) for cs in usable]
                 sources = tuple((c.from_var, c.access) for c in picks)
-                acc = sum(c.est_accessed for c in picks)
                 out = 1.0
-                sat: set = set()
                 for c in picks:
-                    out *= max(c.est_out, _EPS)
-                    # post atoms are NOT applied by the intersection
-                    sat |= c.satisfied - {canon_atom(a) for a in c.post_atoms}
+                    out *= max(c.est_accessed, _EPS)
                 out /= max(1, self.cat.n_vertices) ** (len(picks) - 1)
                 nxt = PState(
-                    st.bound_v | {x}, st.bound_e, st.props_v,
-                    st.applied | frozenset(sat),
+                    st.bound_v | {x}, st.bound_e,
+                    st.applied.union(*(c.satisfied for c in picks)),
                     st.ops + (IntersectExtend(x, sources),),
-                    st.cost + st.card * acc,
+                    st.cost + st.card * sum(c.est_accessed for c in picks),
                     st.card * max(out, _EPS),
                 )
-                yield self._apply_pending(q, nxt)
-        # fallback: Extend the cheapest edge, CloseExtend the rest
+                yield self._apply_pending(
+                    q, nxt, tuple(a for c in picks for a in c.post_atoms)
+                )
+        # fallback: Extend the cheapest edge, then CloseExtend each other
+        # edge with the atoms the steps before it left unapplied
         picks = [min(cs, key=lambda c: c.est_accessed) for cs in cand_sets]
         first = min(range(len(conn)), key=lambda i: picks[i].est_accessed)
-        c0 = picks[first]
-        ops = list(_then_filter(
-            Extend(c0.from_var, x, conn[first].name, c0.access), c0.post_atoms
-        ))
-        cost = st.cost + st.card * c0.est_accessed
-        card = st.card * max(c0.est_out, _EPS)
-        sat = set(c0.satisfied)
-        bound_e = set(st.bound_e) | {conn[first].name}
+        nxt = self._extend(q, st, x, conn[first], picks[first])
         for i, c in enumerate(conn):
-            if i == first:
-                continue
-            ci = picks[i]
-            ops.extend(_then_filter(
-                CloseExtend(ci.from_var, x, c.name, ci.access), ci.post_atoms
-            ))
-            cost += card * ci.est_accessed
-            card *= max(ci.est_out, _EPS) / max(1, self.cat.n_vertices)
-            sat |= ci.satisfied
-            bound_e.add(c.name)
-        nxt = PState(
-            st.bound_v | {x}, frozenset(bound_e), st.props_v | {x},
-            st.applied | frozenset(sat), st.ops + tuple(ops),
-            cost, max(card, _EPS),
+            if i != first:
+                ci = min(self._edge_candidates(q, nxt, c, x),
+                         key=lambda k: k.est_accessed)
+                nxt = self._extend(q, nxt, x, c, ci, close=True)
+        yield nxt
+
+    def _extend(self, q, st, x, c: QEdge, cand: AccessCand,
+                close: bool = False) -> PState:
+        """``st`` after an ``Extend`` of ``x`` over edge ``c`` through
+        ``cand`` (a ``CloseExtend`` if ``x`` is bound), and its FILTER."""
+        op = (CloseExtend if close else Extend)(
+            cand.from_var, x, c.name, cand.access
         )
-        yield self._apply_pending(q, nxt)
+        # a close keeps the entries that are the bound x
+        hit = 1.0 / max(1, self.cat.n_vertices) if close else 1.0
+        return self._apply_pending(
+            q,
+            PState(
+                st.bound_v | {x}, st.bound_e | {c.name},
+                st.applied | cand.satisfied, st.ops + (op,),
+                st.cost + st.card * cand.est_accessed,
+                st.card * max(cand.est_accessed, _EPS) * hit,
+            ),
+            cand.post_atoms,
+        )
 
     # -- MULTI-EXTEND ---------------------------------------------------
     def _multi_transitions(self, q, st, one_edge):
@@ -274,7 +254,7 @@ class Optimizer:
         if len(singles) < 2:
             return
         links: dict[str, set[frozenset]] = {}
-        for a in q.preds:
+        for a in q.atoms:
             if a.op == "=" and a.rhs_is_ref and not a.delta:
                 va, pa = a.lhs[0], canon_prop(a.lhs[1])
                 vb, pb = a.rhs[0], canon_prop(a.rhs[1])
@@ -285,7 +265,9 @@ class Optimizer:
             for z in (2, 3):
                 for T in itertools.combinations(nodes, z):
                     if self._eq_connected(T, pairs):
-                        yield from self._multi_state(q, st, T, prop, pairs)
+                        nxt = self._multi_state(q, st, T, prop, one_edge)
+                        if nxt is not None:
+                            yield nxt
 
     @staticmethod
     def _eq_connected(T, pairs) -> bool:
@@ -303,33 +285,29 @@ class Optimizer:
                     grew = True
         return set(T) <= seen
 
-    def _multi_state(self, q, st, T, prop, pairs):
+    def _multi_state(self, q, st, T, prop, one_edge):
+        """The MULTI-EXTEND of the vertices ``T`` (each joined to the
+        bound vertices by one edge, ``one_edge[x]``) on ``prop``, or
+        ``None`` when some list is not sorted on it."""
         field_name = f"nbr_{prop}"
         targets, sat, acc, out = [], set(), 0.0, 1.0
         posts: list[Atom] = []
         for x in T:
-            conn = [
-                e for e in q.edges
-                if (e.src == x and e.dst in st.bound_v)
-                or (e.dst == x and e.src in st.bound_v)
-            ]
-            if len(conn) != 1:
-                return
-            c = conn[0]
+            c = one_edge[x][0]
             cands = [
                 k for k in self._edge_candidates(q, st, c, x)
                 if k.sort_field == field_name
             ]
             if not cands:
-                return
+                return None
             k = min(cands, key=lambda cc: cc.est_accessed)
             targets.append(ExtTarget(k.from_var, x, c.name, k.access))
             sat |= k.satisfied
             posts.extend(k.post_atoms)
             acc += k.est_accessed
-            out *= max(k.est_out, _EPS)
+            out *= max(k.est_accessed, _EPS)
         eq_atoms = [
-            a for a in q.preds
+            a for a in q.atoms
             if a.op == "=" and a.rhs_is_ref and not a.delta
             and canon_prop(a.lhs[1]) == prop
             and canon_prop(a.rhs[1]) == prop
@@ -341,13 +319,12 @@ class Optimizer:
         nxt = PState(
             st.bound_v | set(T),
             st.bound_e | {t.edge_var for t in targets},
-            st.props_v | set(T),
             st.applied | frozenset(sat),
-            st.ops + _then_filter(op, tuple(posts)),
+            st.ops + (op,),
             st.cost + st.card * acc,
             st.card * max(out, _EPS),
         )
-        yield self._apply_pending(q, nxt)
+        return self._apply_pending(q, nxt, tuple(posts))
 
     # -- candidate accesses for one connecting edge ---------------------
     def _edge_candidates(self, q, st, c: QEdge, x: str) -> list[AccessCand]:
@@ -358,16 +335,11 @@ class Optimizer:
         src_role = "v_s" if d == "fw" else "v_d"
 
         # query-space atoms this extension could enforce locally
-        local_q: list[Atom] = []
-        if c.elabel is not None:
-            local_q.append(Atom((evar, "elabel"), "=", c.elabel))
-        if q.vertex(x).vlabel is not None:
-            local_q.append(Atom((x, "vlabel"), "=", q.vertex(x).vlabel))
-        for a in q.preds:
-            if canon_atom(a) in st.applied:
-                continue
-            if a.entities() <= {evar, x} and not a.rhs_is_ref:
-                local_q.append(a)
+        local_q = [
+            a for a in q.atoms
+            if canon_atom(a) not in st.applied
+            and a.entities() <= {evar, x} and not a.rhs_is_ref
+        ]
 
         v_rolemap = {evar: "e_adj", x: nbr_role, u: src_role}
         pairs_v = [(a, self._translate(a, v_rolemap)) for a in local_q]
@@ -394,7 +366,7 @@ class Optimizer:
                 ebmap = {bvar: "e_b", evar: "e_adj", x: "v_nbr",
                          u: "v_shared"}
                 pairs_eb = [(a, self._translate(a, ebmap)) for a in local_q]
-                for a in q.preds:
+                for a in q.atoms:
                     if canon_atom(a) in st.applied:
                         continue
                     ents = a.entities()
@@ -470,12 +442,6 @@ class Optimizer:
                     if i + 1 < len(cfg.sort_by) else None
                 )
 
-        if self.defer:
-            post = ()
-        else:
-            post = tuple(qa for qa, _ in rest)
-            satisfied |= {canon_atom(qa) for qa in post}
-
         id_sorted = bool(cfg.sort_by) and cfg.sort_by[-1] == (NBR, "vid")
         if id_sorted and len(cfg.sort_by) > 1:
             eq_bound = {col for col, op, _ in array_preds if op == "="}
@@ -483,17 +449,15 @@ class Optimizer:
                 propref_col(r) in eq_bound for r in cfg.sort_by[:-1]
             )
 
-        accessed, out = self._estimate(d, part_eq, array_preds,
-                                       view_atoms, post)
         return [
             AccessCand(
                 access=ListAccess(idx.name, tuple(part_eq),
                                   tuple(array_preds)),
                 from_var=from_var,
-                est_accessed=accessed,
-                est_out=out,
+                est_accessed=self._estimate(d, part_eq, array_preds,
+                                            view_atoms),
                 satisfied=frozenset(satisfied),
-                post_atoms=post,
+                post_atoms=tuple(qa for qa, _ in rest),
                 id_sorted=id_sorted,
                 sort_field=sort_field,
             )
@@ -510,7 +474,7 @@ class Optimizer:
             return "nbr" if prop == "vid" else f"nbr_{prop}"
         return None
 
-    def _estimate(self, d, part_eq, array_preds, view_atoms, post):
+    def _estimate(self, d, part_eq, array_preds, view_atoms) -> float:
         elab = next((v for c, v in part_eq if c == "elabel"), None)
         vlab = next((v for c, v in part_eq if c == "nbr_vlabel"), None)
         stored = self.cat.avg_len(d, elab, vlab)
@@ -522,63 +486,30 @@ class Optimizer:
         for col, op, val in array_preds:
             prop = col[4:] if col.startswith("nbr_") else col
             accessed *= self.cat.atom_sel(Atom(("x", prop), op, val))
-        out = accessed
-        for a in post:
-            out *= self.cat.atom_sel(a)
-        return accessed, out
+        return accessed
 
     # -- filter application --------------------------------------------
-    def _apply_pending(self, q, st: PState, force_all: bool = False) -> PState:
-        if self.defer and not force_all:
+    def _apply_pending(self, q, st: PState, post: tuple[Atom, ...] = (),
+                       final: bool = False) -> PState:
+        """``st`` followed by at most one FILTER: the atoms ``post`` that
+        the last operator's accesses left over, and every other atom not
+        yet applied whose variables ``st`` binds.  Each atom's
+        selectivity is counted here, once.  N4 defers them all to the
+        ``final`` FILTER at the end of the plan."""
+        if self.defer and not final:
             return st
-        ops = list(st.ops)
-        applied = set(st.applied)
-        props_v = set(st.props_v)
+        bound = st.bound_v | st.bound_e
+        todo: dict[tuple, Atom] = {}
+        for a in post + q.atoms:
+            ca = canon_atom(a)
+            if ca not in st.applied and a.entities() <= bound:
+                todo.setdefault(ca, a)
+        if not todo:
+            return st
         card = st.card
-        changed = True
-        while changed:
-            changed = False
-            for a in q.preds:
-                ca = canon_atom(a)
-                if ca in applied:
-                    continue
-                need_v = {e for e in a.entities() if e in q.vertex_names}
-                need_e = {e for e in a.entities() if e in q.edge_names}
-                if not need_v <= st.bound_v or not need_e <= st.bound_e:
-                    continue
-                for v in sorted(need_v):
-                    uses_prop = (
-                        (a.lhs[0] == v and canon_prop(a.lhs[1]) != "vid")
-                        or (a.rhs_is_ref and a.rhs[0] == v
-                            and canon_prop(a.rhs[1]) != "vid")
-                    )
-                    if uses_prop and v not in props_v:
-                        ops.append(FetchProps(v))
-                        props_v.add(v)
-                ops.append(Filter((a,)))
-                applied.add(ca)
-                card *= self.cat.atom_sel(a)
-                changed = True
-        if force_all:
-            for v in q.vertices:
-                if v.vlabel is None:
-                    continue
-                la = Atom((v.name, "vlabel"), "=", v.vlabel)
-                if canon_atom(la) in applied:
-                    continue
-                if v.name not in props_v:
-                    ops.append(FetchProps(v.name))
-                    props_v.add(v.name)
-                ops.append(Filter((la,)))
-                applied.add(canon_atom(la))
-            for e in q.edges:
-                if e.elabel is None or e.name not in st.bound_e:
-                    continue
-                la = Atom((e.name, "elabel"), "=", e.elabel)
-                if canon_atom(la) not in applied:
-                    ops.append(Filter((la,)))
-                    applied.add(canon_atom(la))
+        for a in todo.values():
+            card *= self.cat.atom_sel(a)
         return replace(
-            st, ops=tuple(ops), applied=frozenset(applied),
-            props_v=frozenset(props_v), card=card,
+            st, ops=st.ops + (Filter(tuple(todo.values())),),
+            applied=st.applied | todo.keys(), card=max(card, _EPS),
         )

@@ -6,7 +6,8 @@ directed query edges with optional edge-label constraints, and a
 conjunction of :class:`~repro.core.config.Atom` predicates over the
 variables (anchors like ``a1.vid = 7``, property comparisons like
 ``a2.city = a4.city``, and cross-edge predicates like
-``e1.amt < e2.amt + alpha``).
+``e1.amt < e2.amt + alpha``).  ``QueryGraph.atoms`` writes the labels
+as atoms too, so the optimizer enforces every constraint the same way.
 
 ``pattern_to_sql`` compiles the pattern to a DuckDB self-join over the
 ``vertices``/``edges`` tables with *homomorphism* semantics — exactly
@@ -16,6 +17,7 @@ be verified with ``repro.oracle.assert_equivalent``.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from repro.core.config import Atom, canon_prop
 
@@ -62,25 +64,23 @@ class QueryGraph:
     def edge_names(self) -> tuple[str, ...]:
         return tuple(e.name for e in self.edges)
 
-    def vertex(self, name: str) -> QVertex:
-        return next(v for v in self.vertices if v.name == name)
-
     def edge(self, name: str) -> QEdge:
         return next(e for e in self.edges if e.name == name)
 
-    def edges_touching(self, vname: str) -> list[QEdge]:
-        return [e for e in self.edges if vname in (e.src, e.dst)]
-
-    def edges_between(self, a: str, b: str) -> list[QEdge]:
-        return [
-            e for e in self.edges if {e.src, e.dst} == {a, b} or
-            (a == b and e.src == e.dst == a)
-        ]
-
-    def preds_on(self, *vars_: str) -> list[Atom]:
-        """Atoms whose referenced entities all lie within ``vars_``."""
-        allowed = set(vars_)
-        return [a for a in self.preds if a.entities() <= allowed]
+    @cached_property
+    def atoms(self) -> tuple[Atom, ...]:
+        """Every constraint of the pattern as an atom: the label atoms
+        ``v.vlabel = L`` and ``e.elabel = L``, then ``preds``.  The
+        optimizer plans over these alone, so a label is a lookup key
+        where an index is partitioned or sorted on it and a predicate
+        like any other where it is not."""
+        return (
+            tuple(Atom((v.name, "vlabel"), "=", v.vlabel)
+                  for v in self.vertices if v.vlabel is not None)
+            + tuple(Atom((e.name, "elabel"), "=", e.elabel)
+                    for e in self.edges if e.elabel is not None)
+            + self.preds
+        )
 
 
 def _sql_ref(q: QueryGraph, ref: tuple[str, str]) -> str:

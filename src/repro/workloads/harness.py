@@ -92,7 +92,7 @@ def run_table2(spark: SparkSession) -> list[Cell]:
         nv, ne = g.num_vertices, g.num_edges
         cells.append(
             Cell("table2", name, "-", "stats", time.perf_counter() - t0, ne,
-                 extra={"n_vertices": nv, "avg_degree": round(ne / nv, 2),
+                 extra={"n_vertices": nv, "avg_degree": round(g.avg_degree, 2),
                         "mirrors": spec.mirrors})
         )
     return cells
@@ -217,10 +217,6 @@ def run_table5(
             for qname in queries:
                 if cname == "D+VBc+EBc" and qname not in eb_queries:
                     continue
-                if ds == "ork" and qname == "MF5" and cname == "D":
-                    # the paper leaves Ork/MF5-D blank (timeout); we run
-                    # it anyway unless it is infeasible at bench scale
-                    pass
                 plan = Optimizer(ctx, cat).plan(qs[qname])
                 secs, n = timed_count(plan, ctx)
                 cells.append(

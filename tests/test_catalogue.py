@@ -3,6 +3,7 @@ import pytest
 
 from repro.core.config import Atom
 from repro.engine.catalogue import NEQ_SEL, RANGE_SEL, Catalogue
+from repro.engine.patterns import QueryGraph, QVertex
 from repro.graphs.example import example_graph
 from repro.graphs.generators import dataset
 
@@ -34,10 +35,16 @@ def test_avg_len_with_nbr_label(cat):
     assert cat.avg_len("fw", "Owns", "Customer") == 0.0
 
 
+def _label(vlabel: str) -> Atom:
+    return Atom(("a", "vlabel"), "=", vlabel)
+
+
 def test_vlabel_sel(cat):
-    assert cat.vlabel_sel("Account") == pytest.approx(6 / 8)
-    assert cat.vlabel_sel(None) == 1.0
-    assert cat.vlabel_sel("Nope") == 0.0
+    assert cat.atom_sel(_label("Account")) == pytest.approx(6 / 8)
+    assert cat.atom_sel(_label("Nope")) == 0.0
+    # an unlabelled query vertex has no label atom, so no factor
+    q = QueryGraph("q", (QVertex("a", "Account"), QVertex("b")), ())
+    assert [cat.atom_sel(a) for a in q.atoms] == [pytest.approx(6 / 8)]
 
 
 def test_prop_eq_sel_uses_ndv(cat):
@@ -63,4 +70,6 @@ def test_catalogue_on_synthetic(spark):
     cat = Catalogue.build(g)
     total = cat.avg_len("fw", "E0") + cat.avg_len("fw", "E1")
     assert total == pytest.approx(cat.avg_len("fw"))
-    assert cat.vlabel_sel("V0") + cat.vlabel_sel("V1") == pytest.approx(1.0)
+    assert cat.atom_sel(_label("V0")) + cat.atom_sel(_label("V1")) == (
+        pytest.approx(1.0)
+    )

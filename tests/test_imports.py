@@ -1,12 +1,31 @@
-"""Every name a module under ``src/`` imports is used in that module.
+"""Every name a module under ``src/`` imports is used in that module,
+and every function, class and method ``src/`` defines is used by the
+program.
 
-An AST scan stands in for a linter, which the project does not depend
-on: it collects the names each ``import`` binds and the names the
-module reads, and reports the imported names that are never read."""
+AST scans stand in for a linter, which the project does not depend on.
+The first collects the names each ``import`` binds and the names the
+module reads, and reports the imported names that are never read.  The
+second collects the names each module under ``src/`` defines at top
+level or in a class body, and reports those that no name or attribute
+in ``src/``, ``jobs/`` or ``perfbench/`` refers to."""
 import ast
 import pathlib
 
-SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+SRC = ROOT / "src"
+#: the program: the package and the scripts that drive it
+PROGRAM = ("src", "jobs", "perfbench")
+
+#: definitions only tests call, each a reference the tests check against
+TEST_REFERENCES = {
+    "assert_equivalent": "the DuckDB oracle every engine result is checked by",
+    "example_graph": "the paper's Figure-1 graph, the unit tests' fixture",
+    "CSRStorage.neighbours": "a vertex's neighbour ids, read back by tests",
+    "CSRStorage.id_list": "a vertex's edge and neighbour ids, for tests",
+    "CSRStorage.total_bytes": "the CSR byte total the memory tests compare",
+    "VertexPages.delete": "the delete path the maintenance tests exercise",
+    "copied_id_index_bytes": "the copied-list baseline the memory tests use",
+}
 
 
 def unused_imports(source: str) -> list[tuple[int, str]]:
@@ -37,6 +56,76 @@ def test_scan_finds_unused_and_accepts_used():
         "    return np.zeros(x)\n"
     )
     assert unused_imports(src) == [(2, "os"), (4, "Any")]
+
+
+def definitions(source: str) -> list[tuple[int, str, str]]:
+    """(line, name, qualified name) of each function and class defined
+    at the top level of ``source`` and of each method of its classes,
+    dunder methods aside (the language calls those)."""
+    out = []
+    for node in ast.parse(source).body:
+        if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            continue
+        out.append((node.lineno, node.name, node.name))
+        if isinstance(node, ast.ClassDef):
+            out.extend(
+                (m.lineno, m.name, f"{node.name}.{m.name}")
+                for m in node.body
+                if isinstance(m, ast.FunctionDef)
+                and not (m.name.startswith("__") and m.name.endswith("__"))
+            )
+    return out
+
+
+def referenced(source: str) -> set[str]:
+    """Every name ``source`` reads or looks up as an attribute."""
+    return {
+        n.id if isinstance(n, ast.Name) else n.attr
+        for n in ast.walk(ast.parse(source))
+        if isinstance(n, (ast.Name, ast.Attribute))
+    }
+
+
+def unreferenced(sources: dict[str, str], users: list[str]) -> list[str]:
+    """``path:line: qualified name`` of each definition in ``sources``
+    that none of ``users`` refers to."""
+    used = set().union(*map(referenced, users))
+    return [
+        f"{path}:{line}: {qual}"
+        for path, src in sorted(sources.items())
+        for line, name, qual in definitions(src)
+        if name not in used
+    ]
+
+
+def test_unreferenced_scan_finds_dead_and_accepts_used():
+    lib = (
+        "class Q:\n"
+        "    def __init__(self): pass\n"
+        "    def used(self): pass\n"
+        "    def dead(self): pass\n"
+        "def helper(): pass\n"
+        "def orphan(): pass\n"
+    )
+    user = "from lib import helper\nQ().used()\nhelper()\n"
+    assert unreferenced({"lib.py": lib}, [lib, user]) == [
+        "lib.py:4: Q.dead", "lib.py:6: orphan",
+    ]
+
+
+def test_every_definition_is_used():
+    sources = {
+        str(p.relative_to(SRC)): p.read_text()
+        for p in sorted(SRC.rglob("*.py"))
+    }
+    users = [
+        p.read_text() for d in PROGRAM for p in (ROOT / d).rglob("*.py")
+    ]
+    hits = [
+        h for h in unreferenced(sources, users)
+        if h.rsplit(": ", 1)[1] not in TEST_REFERENCES
+    ]
+    assert not hits, hits
 
 
 def test_no_unused_imports():

@@ -19,7 +19,6 @@ from repro.engine.operators import (
     EngineContext,
     Extend,
     ExtTarget,
-    FetchProps,
     Filter,
     IntersectExtend,
     ListAccess,
@@ -73,8 +72,8 @@ def ctx(g):
 
 
 def test_scan_with_label_and_pred(ctx, g):
-    df = Scan("a1", vlabel="Account",
-              preds=(Atom(("a1", "vid"), "<", 4),)).apply(ctx, None)
+    df = Scan("a1", (Atom(("a1", "vlabel"), "=", "Account"),
+                     Atom(("a1", "vid"), "<", 4))).apply(ctx, None)
     assert sorted(r["a1"] for r in df.collect()) == [1, 2, 3]
     assert "a1__city" in df.columns
 
@@ -96,7 +95,8 @@ def test_extend_default_granular(ctx, g):
     plan = Plan(
         "ex2",
         (
-            Scan("a1", "Customer", (Atom(("a1", "name"), "=", "Alice"),)),
+            Scan("a1", (Atom(("a1", "vlabel"), "=", "Customer"),
+                        Atom(("a1", "name"), "=", "Alice"))),
             Extend("a1", "a2", "r1",
                    ListAccess("D.fw", part_eq=(("elabel", "Owns"),))),
             Extend("a2", "a3", "r2",
@@ -330,7 +330,6 @@ def test_filter_and_fetchprops(ctx):
             IntersectExtend(
                 "a3", (("a2", ListAccess("D.fw")), ("a1", ListAccess("D.bw")))
             ),
-            FetchProps("a3"),
             Filter((Atom(("a3", "city"), "=", "Toronto"),)),
         ),
     ).execute(ctx)
@@ -413,10 +412,6 @@ _ACCESS_PATHS = {
         Filter((Atom(("a2", "city"), "=", "Toronto"),
                 Atom(("e1", "amt"), ">", 100.0))),
     ),
-    "fetch-props": (
-        Extend("a1", "a2", "e1", ListAccess("D.fw")),
-        FetchProps("a2"),
-    ),
 }
 
 
@@ -479,10 +474,6 @@ _ACCESS_QUERIES = {
         QueryGraph("ff", (QVertex("a1"), QVertex("a2")), (_A12,),
                    (Atom(("a2", "city"), "=", "Toronto"),
                     Atom(("e1", "amt"), ">", 100.0))),
-        ("e1",),
-    ),
-    "fetch-props": (
-        QueryGraph("fp", (QVertex("a1"), QVertex("a2")), (_A12,)),
         ("e1",),
     ),
 }
@@ -607,7 +598,7 @@ def test_operators_on_synthetic_financial_graph(spark):
     df = Plan(
         "sq",
         (
-            Scan("a1", "V0"),
+            Scan("a1", (Atom(("a1", "vlabel"), "=", "V0"),)),
             Extend("a1", "a2", "e1",
                    ListAccess("D.fw", part_eq=(("elabel", "E0"),))),
             Filter((Atom(("a2", "vlabel"), "=", "V1"),)),

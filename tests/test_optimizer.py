@@ -303,7 +303,7 @@ def test_unknown_engine_raises(ctx, cat):
 def test_n4_like_defers_filters(ctx, cat):
     plan = Optimizer(ctx, cat, engine="N4").plan(LABELED)
     scan = plan.ops[0]
-    assert isinstance(scan, Scan) and scan.vlabel is None and not scan.preds
+    assert isinstance(scan, Scan) and not scan.preds
     assert _ops(plan, Filter), plan.explain()
 
 

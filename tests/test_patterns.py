@@ -35,17 +35,19 @@ def test_unknown_endpoint_rejected():
 
 def test_accessors():
     q = _q()
-    assert q.vertex("a1").name == "a1"
     assert q.edge("e1").src == "a1"
-    assert [e.name for e in q.edges_touching("a2")] == ["e1"]
-    assert [e.name for e in q.edges_between("a2", "a1")] == ["e1"]
 
 
-def test_preds_on():
-    q = _q(preds=(Atom(("a1", "vid"), "<", 5),
-                  Atom(("a1", "city"), "=", ("a2", "city"))))
-    assert len(q.preds_on("a1")) == 1
-    assert len(q.preds_on("a1", "a2")) == 2
+def test_atoms_are_labels_then_preds():
+    pred = Atom(("a1", "vid"), "<", 5)
+    q = _q(vertices=(QVertex("a1"), QVertex("a2", "Account")),
+           edges=(QEdge("e1", "a1", "a2", "W"),), preds=(pred,))
+    assert q.atoms == (
+        Atom(("a2", "vlabel"), "=", "Account"),
+        Atom(("e1", "elabel"), "=", "W"),
+        pred,
+    )
+    assert _q().atoms == ()
 
 
 def test_sql_shape():

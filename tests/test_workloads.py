@@ -6,7 +6,16 @@ import pytest
 from pyspark.sql import functions as F
 
 from repro.engine.catalogue import Catalogue
-from repro.engine.operators import EngineContext, Extend, IntersectExtend, MultiExtend
+from repro.core.config import Atom
+from repro.core.index_store import canon_atom
+from repro.engine.operators import (
+    EngineContext,
+    Extend,
+    Filter,
+    IntersectExtend,
+    MultiExtend,
+    Scan,
+)
 from repro.engine.optimizer import Optimizer
 from repro.graphs.financial import calibrate_alpha, decorate_financial, decorate_time, time_threshold
 from repro.graphs.generators import dataset
@@ -195,3 +204,70 @@ def test_eb_num_entries_grows_with_alpha(g):
     n_hi = hi.edge_bound[0].num_entries
     assert n_hi > n_lo > 0
     lo.unpersist(); hi.unpersist()
+
+
+def _plan_shape_faults(plan, q, engine: str) -> list[str]:
+    """How ``plan`` fails to enforce each atom once: two adjacent
+    FILTERs, an atom in more than one SCAN or FILTER, or (under GF) a
+    vertex bound by an E/I whose label its lists do not enforce and the
+    operator right after it does not filter."""
+    faults, seen = [], set()
+    labels = {v.name: v.vlabel for v in q.vertices}
+    ops = plan.ops
+    for i, op in enumerate(ops):
+        if isinstance(op, Filter) and i and isinstance(ops[i - 1], Filter):
+            faults.append(f"adjacent FILTERs at {i}")
+        if isinstance(op, (Scan, Filter)):
+            for a in op.preds:
+                if canon_atom(a) in seen:
+                    faults.append(f"{a} enforced twice")
+                seen.add(canon_atom(a))
+        label = (labels[op.to_var]
+                 if isinstance(op, IntersectExtend) else None)
+        if engine == "GF" and label is not None:
+            by_list = any(
+                ("nbr_vlabel", label) in acc.part_eq
+                or ("nbr_vlabel", "=", label) in acc.array_preds
+                for _, acc in op.sources
+            )
+            nxt = ops[i + 1] if i + 1 < len(ops) else None
+            atom = Atom((op.to_var, "vlabel"), "=", label)
+            if not by_list and not (
+                isinstance(nxt, Filter) and atom in nxt.preds
+            ):
+                faults.append(f"{atom} not enforced right after its E/I")
+    return faults
+
+
+def test_plans_enforce_each_atom_once(
+    g, stores, store_vbt, store_vbc, store_full, cat, tau, alpha, beta_city
+):
+    """Plan shape over every workload cell (planned, not executed): at
+    most one FILTER per step, each atom enforced by one SCAN or FILTER
+    (or by a list access), and an E/I-bound vertex's label enforced by
+    the E/I or right after it."""
+    mr = mr_workload(tau=tau)
+    mf = mf_workload(alpha, anchor_max=10_000, beta_city=beta_city)
+    mr_cat = Catalogue.build(g, time_sel_hints(tau))
+    mf_cat = Catalogue.build(g, flow_sel_hints(alpha, 0.2))
+    cells = [
+        (c, "GF", stores[c], cat, q)
+        for c in ("D", "Ds", "Dp") for q in SQS.values()
+    ]
+    cells += [("D+VBt", "GF", store_vbt, mr_cat, q) for q in mr.values()]
+    cells += [("D+VBc", "GF", store_vbc, mf_cat, q) for q in mf.values()]
+    cells += [("D+VBc+EBc", "GF", store_full, mf_cat, q)
+              for q in (mf["MF3"], mf["MF4"], mf["MF5"], mf_2path(alpha))]
+    cells += [
+        (c, engine, stores[c], cat, SQS[name])
+        for engine in ("GF", "TG", "N4") for c in ("D", "Dp")
+        for name in ("SQ1", "SQ2", "SQ3", "SQ13")
+    ]
+    faults = []
+    for cname, engine, store, c, q in cells:
+        plan = Optimizer(EngineContext(g, store), c, engine).plan(q)
+        faults += [
+            f"{engine}/{cname}/{q.name}: {f}\n{plan.explain()}"
+            for f in _plan_shape_faults(plan, q, engine)
+        ]
+    assert not faults, "\n".join(faults)
