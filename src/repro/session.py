@@ -6,6 +6,14 @@ configuration the jobs and the benchmark run.
 * Automatic broadcast joins are off: Spark never broadcasts a match
   DataFrame on its own.  The operators mark the index or property-store
   side of each lookup as the broadcast build side instead.
+* Adaptive query execution is off: every operator join is a hinted
+  broadcast, so AQE has no shuffle to coalesce or split, yet it would
+  still run each broadcast as its own query stage and re-plan between
+  stages.
+* The shuffle partition count is the session's default parallelism
+  (the cores Spark sees under ``local[*]``).  Only the index builds
+  shuffle, and their cached ``lists`` keep that many partitions, so
+  each broadcast of a probe table runs one task per core, not more.
 * PySpark's DataFrame debugging (call-site capture) is off.  With it on,
   every ``functions.*`` and ``Column`` call made while a plan is built
   adds about six py4j round trips to record its Python call site.  The
@@ -45,6 +53,14 @@ def driver_memory(meminfo: str | None = None) -> str:
     return f"{min(8, max(2, half_gib))}g"
 
 
+def shuffle_partitions(default_parallelism: int) -> str:
+    """``SPARK_SHUFFLE_PARTITIONS`` when set; otherwise the session's
+    default parallelism."""
+    return os.environ.get("SPARK_SHUFFLE_PARTITIONS") or str(
+        default_parallelism
+    )
+
+
 def spark_session(app: str) -> SparkSession:
     """The project's Spark session (``getOrCreate``)."""
     builder = SparkSession.builder.appName(app).master(
@@ -52,8 +68,7 @@ def spark_session(app: str) -> SparkSession:
     )
     for k, v in {
         "spark.driver.memory": driver_memory(),
-        "spark.sql.shuffle.partitions":
-            os.environ.get("SPARK_SHUFFLE_PARTITIONS", "16"),
+        "spark.sql.adaptive.enabled": "false",
         "spark.sql.execution.arrow.pyspark.enabled": "true",
         "spark.sql.autoBroadcastJoinThreshold": "-1",
         "spark.python.sql.dataFrameDebugging.enabled": "false",
@@ -61,4 +76,8 @@ def spark_session(app: str) -> SparkSession:
         "spark.driver.host": "127.0.0.1",
     }.items():
         builder = builder.config(k, v)
-    return builder.getOrCreate()
+    spark = builder.getOrCreate()
+    # the default parallelism is known only once the context is up
+    spark.conf.set("spark.sql.shuffle.partitions",
+                   shuffle_partitions(spark.sparkContext.defaultParallelism))
+    return spark

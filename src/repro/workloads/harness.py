@@ -20,6 +20,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 from pyspark.sql import SparkSession
 
+from repro.core.index_store import IndexStore
 from repro.engine.catalogue import Catalogue
 from repro.engine.operators import EngineContext
 from repro.engine.optimizer import Optimizer
@@ -78,6 +79,14 @@ def timed_count(plan, ctx, *, warmup: bool = True) -> tuple[float, int]:
     t0 = time.perf_counter()
     n = plan.count(ctx)
     return time.perf_counter() - t0, n
+
+
+def _unpersist_secondary(store: IndexStore) -> None:
+    """Drop a configuration's secondary indexes.  Each configuration
+    gets its own ``IndexStore`` over the dataset's one D, so this leaves
+    D and the other configurations' indexes alone."""
+    for idx in (*store.vertex_bound, *store.edge_bound):
+        idx.unpersist()
 
 
 # ---------------------------------------------------------------------------
@@ -161,8 +170,9 @@ def run_table4(
         anchor = {4: max(200, g.num_vertices // 3)} if ds in ("lj", "ork") else {}
         qs = mr_workload(tau=tau, anchor_max=anchor)
         cat = Catalogue.build(g, time_sel_hints(tau))
+        d = build_D(g)
         for cname in ("D", "D+VBt"):
-            store = build_D(g)
+            store = IndexStore(d.default_fw, d.default_bw)
             if cname == "D+VBt":
                 add_VBt(store)
             ctx = EngineContext(g, store)
@@ -171,7 +181,8 @@ def run_table4(
                 plan = Optimizer(ctx, cat).plan(qs[qname])
                 secs, n = timed_count(plan, ctx)
                 cells.append(Cell("table4", ds, cname, qname, secs, n, mm))
-            store.unpersist()
+            _unpersist_secondary(store)
+        d.unpersist()
         g.unpersist()
     return cells
 
@@ -202,8 +213,9 @@ def run_table5(
         anchor = max(100, g.num_vertices // 4)
         qs = mf_workload(alpha, anchor_max=anchor, beta_city=beta)
         cat = Catalogue.build(g, flow_sel_hints(alpha, alpha_sel))
+        d = build_D(g)
         for cname in ("D", "D+VBc", "D+VBc+EBc"):
-            store = build_D(g)
+            store = IndexStore(d.default_fw, d.default_bw)
             if cname != "D":
                 add_VBc(store)
             if cname == "D+VBc+EBc":
@@ -223,7 +235,8 @@ def run_table5(
                     Cell("table5", ds, cname, qname, secs, n, mm,
                          extra={"alpha": alpha, "E_indexed": n_indexed})
                 )
-            store.unpersist()
+            _unpersist_secondary(store)
+        d.unpersist()
         g.unpersist()
     return cells
 
@@ -237,13 +250,14 @@ def run_table6(
     selectivities: tuple[float, ...] = (0.25, 0.05, 0.0005),
 ) -> list[Cell]:
     g = mf_dataset(spark, "lj")
+    d = build_D(g)
     cells = []
     for sel in selectivities:
         alpha = calibrate_alpha(g, sel)
         q = mf_2path(alpha)
         cat = Catalogue.build(g, flow_sel_hints(alpha, sel))
         for cname in ("D", "D+EBc"):
-            store = build_D(g)
+            store = IndexStore(d.default_fw, d.default_bw)
             if cname == "D+EBc":
                 add_EBc(store, alpha)
             ctx = EngineContext(g, store)
@@ -257,7 +271,8 @@ def run_table6(
                 Cell("table6", "lj", cname, f"sel={sel:g}", secs, n, mm,
                      extra={"alpha": alpha, "E_indexed": n_indexed})
             )
-            store.unpersist()
+            _unpersist_secondary(store)
+    d.unpersist()
     g.unpersist()
     return cells
 
@@ -279,17 +294,19 @@ def run_table7(
         g = dataset(spark, ds, scale=scale(), n_vlabels=i, n_elabels=j).cache()
         qs = sq_workload(n_vlabels=i, n_elabels=j)
         cat = Catalogue.build(g)
+        # GF runs the Table-3 D_p configuration (Section 5.6); TG and
+        # N4 share one D
+        dp, d = build_Dp(g), build_D(g)
         for engine in ("GF", "TG", "N4"):
-            # GF runs the Table-3 D_p configuration (Section 5.6)
-            store = build_Dp(g) if engine == "GF" else build_D(g)
-            ctx = EngineContext(g, store)
+            ctx = EngineContext(g, dp if engine == "GF" else d)
             for qname in queries:
                 plan = Optimizer(ctx, cat, engine).plan(qs[qname])
                 secs, n = timed_count(plan, ctx)
                 cells.append(
                     Cell("table7", f"{ds}_{i}_{j}", engine, qname, secs, n)
                 )
-            store.unpersist()
+        dp.unpersist()
+        d.unpersist()
         g.unpersist()
     return cells
 

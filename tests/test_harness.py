@@ -5,11 +5,25 @@ import os
 import pytest
 
 import repro.workloads.harness as H
+from repro.workloads.setups import build_D
 
 
 @pytest.fixture(autouse=True)
 def tiny_scale(monkeypatch):
     monkeypatch.setenv("REPRO_SCALE", "tiny")
+
+
+@pytest.fixture
+def d_builds(monkeypatch) -> list:
+    """Counts the harness's ``build_D`` calls, one entry per build."""
+    built = []
+
+    def counting(g):
+        built.append(g)
+        return build_D(g)
+
+    monkeypatch.setattr(H, "build_D", counting)
+    return built
 
 
 def test_run_table2(spark):
@@ -32,8 +46,9 @@ def test_run_table3_cell_grid(spark):
     assert by_cfg["Dp"].mm_mb > by_cfg["D"].mm_mb
 
 
-def test_run_table4_structure(spark):
+def test_run_table4_structure(spark, d_builds):
     cells = H.run_table4(spark, datasets=("brk",), queries=("MR1",))
+    assert len(d_builds) == 1  # both configurations share one D
     assert {c.config for c in cells} == {"D", "D+VBt"}
     d, vbt = (next(c for c in cells if c.config == n)
               for n in ("D", "D+VBt"))
@@ -41,9 +56,10 @@ def test_run_table4_structure(spark):
     assert vbt.mm_mb > d.mm_mb  # VB_t costs a little extra memory
 
 
-def test_run_table5_structure(spark):
+def test_run_table5_structure(spark, d_builds):
     cells = H.run_table5(spark, datasets=("wt",), queries=("MF1", "MF3"),
                          alpha_sel=0.2)
+    assert len(d_builds) == 1  # the three configurations share one D
     cfgs = {c.config for c in cells}
     assert cfgs == {"D", "D+VBc", "D+VBc+EBc"}
     # EB_c is reported only for the queries it can serve

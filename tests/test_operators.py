@@ -511,10 +511,14 @@ def test_probe_tables_are_reused(ctx, g, monkeypatch, path):
 def test_index_probes_are_broadcast_hash_joins(ctx, capsys, path):
     """E/I is an index probe: the match side stays in place and each
     operator probes a hash of the cached index, so no operator join
-    repartitions the matches or the index."""
+    repartitions the matches or the index.  The plan runs without
+    adaptive query execution: hinted broadcasts leave it nothing to
+    adapt."""
     df = Plan(path, (Scan("a1"),) + _ACCESS_PATHS[path]).execute(ctx)
     joins = _probe_joins(df, capsys)
     assert joins and set(joins) == {"BroadcastHashJoin"}, joins
+    executed = df._jdf.queryExecution().executedPlan().toString()
+    assert "AdaptiveSparkPlan" not in executed, executed
 
 
 def _own_rdd_graph(spark) -> PropertyGraph:

@@ -1,8 +1,16 @@
-"""The session's driver memory: the tests, the jobs and the benchmark
-all size the driver JVM with ``repro.session.driver_memory``."""
+"""The one session definition: the tests, the jobs and the benchmark
+all build their session with ``repro.session.spark_session``, so they
+share its driver memory, its shuffle partition count and its confs."""
+import ast
+import os
+import pathlib
+
 import pytest
 
-from repro.session import driver_memory
+from repro.session import driver_memory, shuffle_partitions
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+SESSION = ROOT / "src" / "repro" / "session.py"
 
 
 def _meminfo(gib: int) -> str:
@@ -26,3 +34,60 @@ def test_half_of_memtotal_clamped(monkeypatch, gib, want):
 def test_no_memtotal_is_lower_clamp(monkeypatch):
     monkeypatch.delenv("SPARK_DRIVER_MEM", raising=False)
     assert driver_memory("") == "2g"
+
+
+
+def test_fixture_session_confs(spark):
+    """AQE is off, and the shuffle partitions are the session's cores
+    unless ``SPARK_SHUFFLE_PARTITIONS`` says otherwise."""
+    assert spark.conf.get("spark.sql.adaptive.enabled") == "false"
+    want = os.environ.get("SPARK_SHUFFLE_PARTITIONS") or str(
+        spark.sparkContext.defaultParallelism
+    )
+    assert spark.conf.get("spark.sql.shuffle.partitions") == want
+
+
+def test_shuffle_partitions_env_overrides_parallelism(monkeypatch):
+    monkeypatch.setenv("SPARK_SHUFFLE_PARTITIONS", "7")
+    assert shuffle_partitions(4) == "7"
+    monkeypatch.delenv("SPARK_SHUFFLE_PARTITIONS")
+    assert shuffle_partitions(4) == "4"
+
+
+def spark_conf_calls(source: str) -> list[int]:
+    """Lines of ``source`` that set a Spark conf: a ``.config(`` call
+    (on a session builder) or a ``<x>.conf.set(`` call."""
+    return sorted(
+        node.lineno
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Call)
+        and isinstance(f := node.func, ast.Attribute)
+        and (f.attr == "config"
+             or (f.attr == "set" and isinstance(f.value, ast.Attribute)
+                 and f.value.attr == "conf"))
+    )
+
+
+def test_conf_scan_finds_builder_and_runtime_confs():
+    src = (
+        "b = SparkSession.builder.config('a', 1)\n"
+        "spark.conf.set('b', 2)\n"
+        "x = spark.conf.get('b')\n"
+        "cfg = idx.config\n"
+        "s.add(1)\n"
+    )
+    assert spark_conf_calls(src) == [1, 2]
+
+
+def test_only_the_session_module_sets_spark_confs():
+    """Tests, jobs and the benchmark run one configuration: no module
+    under ``src/`` or ``jobs/`` but ``repro/session.py`` sets a conf."""
+    offenders = [
+        (str(f.relative_to(ROOT)), line)
+        for d in ("src", "jobs")
+        for f in sorted((ROOT / d).rglob("*.py"))
+        if f != SESSION
+        for line in spark_conf_calls(f.read_text())
+    ]
+    assert not offenders, offenders
+    assert spark_conf_calls(SESSION.read_text())
