@@ -23,33 +23,46 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.storage.csr import CSRStorage
-
 MODES = ("sequential", "list", "graph")
 
 
 @dataclass
 class IndirectionData:
-    """Precomputed read-order structures for the three modes."""
+    """One direction's ID lists as a two-array CSR, plus the read-order
+    structures of the ``list`` and ``graph`` modes."""
 
-    csr: CSRStorage
+    indptr: np.ndarray  # int64, len V+1; v's list is indptr[v]:indptr[v+1]
+    nbrs: np.ndarray  # int32 (4-byte neighbour ids), each list sorted
     list_perm: np.ndarray  # slot -> slot, confined within each list
     graph_perm: np.ndarray  # logical slot -> physical slot, global
     nbrs_shuffled: np.ndarray  # physical storage for graph mode
 
 
-def prepare(csr: CSRStorage, seed: int = 0) -> IndirectionData:
+def prepare(
+    n_vertices: int, src: np.ndarray, dst: np.ndarray, seed: int = 0
+) -> IndirectionData:
+    """Build the forward ID lists of the edges ``src[i] -> dst[i]``
+    (vertex ids in ``[0, n_vertices)``) and the two indirections.
+
+    Each sort is one exact int64 argsort over a composite key whose
+    high bits are the list owner: ``(src, dst)`` orders the lists, and
+    ``(owner, random)`` permutes each list's slots within its own range.
+    """
     rng = np.random.default_rng(seed)
-    ne = csr.n_edges
-    list_perm = np.empty(ne, dtype=np.int64)
-    for v in range(csr.n_vertices):
-        s, e = csr.indptr[v], csr.indptr[v + 1]
-        if e > s:
-            list_perm[s:e] = s + rng.permutation(e - s)
+    src = np.asarray(src, dtype=np.int64)
+    dst = np.asarray(dst, dtype=np.int64)
+    ne = len(src)
+    indptr = np.zeros(n_vertices + 1, dtype=np.int64)
+    np.cumsum(np.bincount(src, minlength=n_vertices), out=indptr[1:])
+    nbrs = dst[np.argsort((src << 32) | dst)].astype(np.int32)
+    # random keys take every bit the owner id leaves free
+    bits = 63 - int(n_vertices).bit_length()
+    owner = np.repeat(np.arange(n_vertices, dtype=np.int64), np.diff(indptr))
+    list_perm = np.argsort((owner << bits) | rng.integers(0, 1 << bits, ne))
     graph_perm = rng.permutation(ne).astype(np.int64)
-    nbrs_shuffled = np.empty_like(csr.nbrs)
-    nbrs_shuffled[graph_perm] = csr.nbrs
-    return IndirectionData(csr, list_perm, graph_perm, nbrs_shuffled)
+    nbrs_shuffled = np.empty_like(nbrs)
+    nbrs_shuffled[graph_perm] = nbrs
+    return IndirectionData(indptr, nbrs, list_perm, graph_perm, nbrs_shuffled)
 
 
 def _slot_ranges(indptr: np.ndarray, frontier: np.ndarray) -> np.ndarray:
@@ -89,15 +102,14 @@ def enumerate_paths(
     """
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}")
-    csr = data.csr
     frontier = np.asarray(sources, dtype=np.int64)
     checksum = 0
     for _ in range(hops):
-        slots = _slot_ranges(csr.indptr, frontier)
+        slots = _slot_ranges(data.indptr, frontier)
         if mode == "sequential":
-            nxt = csr.nbrs[slots]
+            nxt = data.nbrs[slots]
         elif mode == "list":
-            nxt = csr.nbrs[data.list_perm[slots]]
+            nxt = data.nbrs[data.list_perm[slots]]
         else:
             nxt = data.nbrs_shuffled[data.graph_perm[slots]]
         checksum += int(nxt.sum(dtype=np.int64))

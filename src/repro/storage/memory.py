@@ -72,16 +72,6 @@ def offset_index_bytes(
     return int(agg["total"] or 0)
 
 
-def copied_id_index_bytes(lists: DataFrame) -> int:
-    """What the same secondary index would cost if it copied the
-    (edge id, neighbour id) pairs instead of storing offsets — the
-    Section-3 comparison baseline."""
-    agg = lists.select(F.size("offsets").alias("n")).agg(
-        F.sum(F.col("n") * ID_ENTRY_BYTES).alias("t")
-    ).collect()[0]
-    return int(agg["t"] or 0)
-
-
 def store_bytes(store) -> dict[str, int]:
     """Per-index structural bytes for every index in an INDEX STORE."""
     out: dict[str, int] = {}

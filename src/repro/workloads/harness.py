@@ -82,9 +82,8 @@ def timed_count(plan, ctx, *, warmup: bool = True) -> tuple[float, int]:
 
 
 def _unpersist_secondary(store: IndexStore) -> None:
-    """Drop a configuration's secondary indexes.  Each configuration
-    gets its own ``IndexStore`` over the dataset's one D, so this leaves
-    D and the other configurations' indexes alone."""
+    """Drop a store's secondary indexes.  The stores of one dataset
+    share its one D, so this leaves D alone."""
     for idx in (*store.vertex_bound, *store.edge_bound):
         idx.unpersist()
 
@@ -214,10 +213,12 @@ def run_table5(
         qs = mf_workload(alpha, anchor_max=anchor, beta_city=beta)
         cat = Catalogue.build(g, flow_sel_hints(alpha, alpha_sel))
         d = build_D(g)
+        # the configurations share one D, and the last two one VB_c
+        vbc = add_VBc(IndexStore(d.default_fw, d.default_bw))
         for cname in ("D", "D+VBc", "D+VBc+EBc"):
             store = IndexStore(d.default_fw, d.default_bw)
             if cname != "D":
-                add_VBc(store)
+                store.vertex_bound.extend(vbc.vertex_bound)
             if cname == "D+VBc+EBc":
                 add_EBc(store, alpha)
             ctx = EngineContext(g, store)
@@ -235,7 +236,9 @@ def run_table5(
                     Cell("table5", ds, cname, qname, secs, n, mm,
                          extra={"alpha": alpha, "E_indexed": n_indexed})
                 )
-            _unpersist_secondary(store)
+            for eb in store.edge_bound:
+                eb.unpersist()
+        _unpersist_secondary(vbc)
         d.unpersist()
         g.unpersist()
     return cells
@@ -318,15 +321,15 @@ def run_table7(
 def run_indirection(
     spark: SparkSession, n_sources: int = 100, hops: int = 5, seed: int = 5
 ) -> list[Cell]:
-    from repro.core.config import graphflow_default
-    from repro.storage.csr import build_csr
     from repro.storage.indirection import MODES, enumerate_paths, prepare
 
     g = dataset(spark, "lj", scale=scale())
-    csr = build_csr(g, graphflow_default("fw"))
-    data = prepare(csr, seed=seed)
+    edges = g.edges.select("src", "dst").toPandas()
+    nv = g.num_vertices
+    data = prepare(nv, edges["src"].to_numpy(), edges["dst"].to_numpy(),
+                   seed=seed)
     rng = np.random.default_rng(seed)
-    sources = rng.integers(0, csr.n_vertices, n_sources)
+    sources = rng.integers(0, nv, n_sources)
     cells = []
     checks = set()
     for mode in MODES:

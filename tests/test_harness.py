@@ -5,7 +5,7 @@ import os
 import pytest
 
 import repro.workloads.harness as H
-from repro.workloads.setups import build_D
+from repro.workloads.setups import add_VBc, build_D
 
 
 @pytest.fixture(autouse=True)
@@ -23,6 +23,19 @@ def d_builds(monkeypatch) -> list:
         return build_D(g)
 
     monkeypatch.setattr(H, "build_D", counting)
+    return built
+
+
+@pytest.fixture
+def vbc_builds(monkeypatch) -> list:
+    """Counts the harness's ``add_VBc`` calls, one entry per build."""
+    built = []
+
+    def counting(store):
+        built.append(store)
+        return add_VBc(store)
+
+    monkeypatch.setattr(H, "add_VBc", counting)
     return built
 
 
@@ -56,10 +69,11 @@ def test_run_table4_structure(spark, d_builds):
     assert vbt.mm_mb > d.mm_mb  # VB_t costs a little extra memory
 
 
-def test_run_table5_structure(spark, d_builds):
+def test_run_table5_structure(spark, d_builds, vbc_builds):
     cells = H.run_table5(spark, datasets=("wt",), queries=("MF1", "MF3"),
                          alpha_sel=0.2)
     assert len(d_builds) == 1  # the three configurations share one D
+    assert len(vbc_builds) == 1  # and the last two share one VB_c
     cfgs = {c.config for c in cells}
     assert cfgs == {"D", "D+VBc", "D+VBc+EBc"}
     # EB_c is reported only for the queries it can serve

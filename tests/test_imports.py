@@ -20,11 +20,7 @@ PROGRAM = ("src", "jobs", "perfbench")
 TEST_REFERENCES = {
     "assert_equivalent": "the DuckDB oracle every engine result is checked by",
     "example_graph": "the paper's Figure-1 graph, the unit tests' fixture",
-    "CSRStorage.neighbours": "a vertex's neighbour ids, read back by tests",
-    "CSRStorage.id_list": "a vertex's edge and neighbour ids, for tests",
-    "CSRStorage.total_bytes": "the CSR byte total the memory tests compare",
     "VertexPages.delete": "the delete path the maintenance tests exercise",
-    "copied_id_index_bytes": "the copied-list baseline the memory tests use",
 }
 
 

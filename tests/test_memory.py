@@ -10,12 +10,11 @@ from repro.core.index_store import IndexStore
 from repro.core.vertex_bound import build_vertex_bound
 from repro.core.views import DST_FW, EdgeView, TwoPathView
 from repro.core.config import Atom
+from repro.graphs.example import example_graph
 from repro.graphs.financial import decorate_financial
 from repro.graphs.generators import dataset
-from repro.storage.csr import build_csr
 from repro.storage.memory import (
     config_mm_mb,
-    copied_id_index_bytes,
     default_index_bytes,
     offset_index_bytes,
     store_bytes,
@@ -44,9 +43,51 @@ def test_default_bytes_identity(g, fw):
     assert default_index_bytes(fw) == 12 * e + 4 * (v + 1) + 5 * groups
 
 
-def test_default_bytes_match_csr_model(g, fw):
-    csr = build_csr(g, fw.config)
-    assert default_index_bytes(fw) == csr.total_bytes()
+#: D, D_s and D_p of Table 3, plus D partitioned again by the
+#: neighbour's account type
+FIG1_CONFIGS = {
+    "D": graphflow_default,
+    "Ds": lambda d: IndexConfig(d, partition_by=((EDGE, "elabel"),),
+                                sort_by=((NBR, "vlabel"), (NBR, "vid"))),
+    "Dp": lambda d: IndexConfig(d, partition_by=((EDGE, "elabel"),
+                                                 (NBR, "vlabel")),
+                                sort_by=((NBR, "vid"),)),
+    "Dp_acc": lambda d: IndexConfig(d, partition_by=((EDGE, "elabel"),
+                                                     (NBR, "acc")),
+                                    sort_by=((NBR, "vid"),)),
+}
+
+
+@pytest.mark.parametrize(
+    "config,direction,want",
+    [
+        # 21 edges x 12 B, 9 vertex offsets x 4 B, then 5 B per layer
+        # cell.  Forward (src, elabel) groups per vertex 1..8:
+        # 1+2+2+1+2+2+1+1 = 12
+        ("D", "fw", 12 * 21 + 4 * 9 + 5 * 12),
+        # backward (dst, elabel) groups per vertex 1..8:
+        # 3+3+2+2+1+2+0+0 = 13 (Owns ends at 1 and 2)
+        ("D", "bw", 12 * 21 + 4 * 9 + 5 * 13),
+        # sorting differently costs nothing
+        ("Ds", "fw", 12 * 21 + 4 * 9 + 5 * 12),
+        ("Ds", "bw", 12 * 21 + 4 * 9 + 5 * 13),
+        # each (vertex, elabel) list's neighbours share one vertex label
+        # (transfers join accounts; Owns joins a customer to an
+        # account), so the second layer repeats the first
+        ("Dp", "fw", 12 * 21 + 4 * 9 + 5 * 12 + 5 * 12),
+        ("Dp", "bw", 12 * 21 + 4 * 9 + 5 * 13 + 5 * 13),
+        # (src, elabel, nbr acc) groups per vertex 1..8:
+        # 2+2+3+2+4+2+1+1 = 17
+        ("Dp_acc", "fw", 12 * 21 + 4 * 9 + 5 * 12 + 5 * 17),
+    ],
+)
+def test_default_bytes_counted_by_hand(spark, config, direction, want):
+    """Bytes of the Figure-1 graph's default indexes, counted by hand
+    from its edge list (``repro.graphs.example``)."""
+    idx = build_default_index(example_graph(spark),
+                              FIG1_CONFIGS[config](direction))
+    assert default_index_bytes(idx) == want
+    idx.unpersist()
 
 
 def test_reconfigured_sort_costs_nothing(g, fw):
@@ -90,7 +131,9 @@ def test_vb_overhead_matches_paper_regime(g, fw, bw, vb):
 
 
 def test_vb_offsets_far_cheaper_than_copied_ids(vb):
-    assert vb.memory_bytes < 0.25 * copied_id_index_bytes(vb.lists)
+    """Section 3: offsets cost far less than copying each indexed
+    entry's 12-byte (edge id, neighbour id) pair."""
+    assert vb.memory_bytes < 0.25 * 12 * vb.num_entries
 
 
 def test_offset_bytes_formula(spark, vb):

@@ -91,3 +91,51 @@ def test_only_the_session_module_sets_spark_confs():
     ]
     assert not offenders, offenders
     assert spark_conf_calls(SESSION.read_text())
+
+
+#: the storage model's modules, which run on NumPy and the standard
+#: library; ``memory.py``, the byte model over cached lists, is the one
+#: that reads Spark
+STORAGE = ROOT / "src" / "repro" / "storage"
+DATAFRAME_LIBS = ("pyspark", "pandas")
+
+
+def dataframe_imports(source: str) -> list[int]:
+    """Lines of ``source`` that import ``pyspark`` or ``pandas``, or a
+    module of either."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names = [a.name for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names = [node.module]
+        else:
+            continue
+        if any(n.split(".")[0] in DATAFRAME_LIBS for n in names):
+            lines.append(node.lineno)
+    return sorted(lines)
+
+
+def test_dataframe_import_scan_finds_pyspark_and_pandas():
+    src = (
+        "import numpy as np\n"
+        "import pandas as pd\n"
+        "from pyspark.sql import functions as F\n"
+        "from repro.core.config import IndexConfig\n"
+        "import os, pyspark\n"
+        "from . import sparkless\n"
+    )
+    assert dataframe_imports(src) == [2, 3, 5]
+
+
+def test_storage_model_is_numpy_only():
+    """No module under ``repro/storage/`` but ``memory.py`` imports
+    Spark or pandas."""
+    offenders = [
+        (str(f.relative_to(ROOT)), line)
+        for f in sorted(STORAGE.rglob("*.py"))
+        if f.name != "memory.py"
+        for line in dataframe_imports(f.read_text())
+    ]
+    assert not offenders, offenders
+    assert dataframe_imports((STORAGE / "memory.py").read_text())
