@@ -44,11 +44,11 @@ def _flat_edges(graph: PropertyGraph, direction: str) -> DataFrame:
     """Per-edge rows with pk/nbr endpoints and both vertices' props."""
     e = graph.edges
     pk, nbr = ("src", "dst") if direction == "fw" else ("dst", "src")
-    edge_props = [c for c in e.columns if c not in ("eid", "src", "dst")]
+    edge_props = graph.edge_props
     flat = e.select(
         F.col(pk).alias("pk"), F.col(nbr).alias("nbr"), "eid", *edge_props
     )
-    vprops = [c for c in graph.vertices.columns if c != "vid"]
+    vprops = graph.vertex_props
     nbr_v = graph.vertices.select(
         F.col("vid").alias("__nv"), *[F.col(p).alias(f"nbr_{p}") for p in vprops]
     )

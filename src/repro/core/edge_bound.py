@@ -109,7 +109,7 @@ def build_edge_bound(
     name = name or f"EB.{view.name}"
 
     graph = base.graph
-    eprops = [c for c in graph.edges.columns if c not in ("eid", "src", "dst")]
+    eprops = graph.edge_props
     bound = graph.edges.select(
         F.col("eid").alias("bid"),
         F.col(o.anchor).alias("anchor"),

@@ -3,10 +3,11 @@ lengths and predicate-selectivity estimates used by the i-cost model.
 
 The paper's catalogue stores estimated average lengths of different
 lists (e.g. the forward Wire list of a vertex).  At reproduction scale
-we compute the averages exactly with Spark aggregations — cheap, and it
-removes estimation noise from plan-choice tests.  Predicate selectivity
-defaults follow the paper's approach of multiplying list lengths by the
-estimated selectivity of non-label predicates (a vertex-label atom's
+we compute the averages exactly over the graph's pandas frames —
+cheap, and it removes estimation noise from plan-choice tests.
+Predicate selectivity defaults follow the paper's approach of
+multiplying list lengths by the estimated selectivity of non-label
+predicates (a vertex-label atom's
 selectivity is the label's exact share of the vertices); callers can
 override per atom via ``sel_hints`` (the paper likewise sets the alpha
 windows to known selectivities).
@@ -14,8 +15,6 @@ windows to known selectivities).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-
-from pyspark.sql import functions as F
 
 from repro.core.config import Atom, canon_prop
 from repro.core.index_store import canon_atom
@@ -42,51 +41,31 @@ class Catalogue:
         cls, graph: PropertyGraph, sel_hints: dict[Atom, float] | None = None
     ) -> "Catalogue":
         nv, ne = graph.num_vertices, graph.num_edges
-        e = graph.edges.join(
-            graph.vertices.select(
-                F.col("vid").alias("dst"), F.col("vlabel").alias("dst_vlabel")
-            ),
-            "dst",
-        ).join(
-            graph.vertices.select(
-                F.col("vid").alias("src"), F.col("vlabel").alias("src_vlabel")
-            ),
-            "src",
-        )
-        counts = (
-            e.groupBy("elabel", "src_vlabel", "dst_vlabel").count().collect()
-        )
+        vf, ef = graph.vertex_frame, graph.edge_frame
+        vlabel = vf.set_index("vid")["vlabel"]
+        counts = ef.groupby([
+            ef["elabel"], ef["src"].map(vlabel).rename("src_vlabel"),
+            ef["dst"].map(vlabel).rename("dst_vlabel"),
+        ]).size().to_dict()
         avg: dict[tuple[str, str | None, str | None], float] = {}
 
         def bump(key, n):
             avg[key] = avg.get(key, 0.0) + n
 
-        for r in counts:
-            n = r["count"]
-            for d, nlab in (("fw", r["dst_vlabel"]), ("bw", r["src_vlabel"])):
+        for (elabel, src_vlabel, dst_vlabel), n in counts.items():
+            for d, nlab in (("fw", dst_vlabel), ("bw", src_vlabel)):
                 bump((d, None, None), n)
-                bump((d, r["elabel"], None), n)
-                bump((d, r["elabel"], nlab), n)
+                bump((d, elabel, None), n)
+                bump((d, elabel, nlab), n)
                 bump((d, None, nlab), n)
         avg = {k: v / nv for k, v in avg.items()}
-
-        ndv: dict[str, int] = {}
-        vprops = [c for c in graph.vertices.columns if c != "vid"]
-        if vprops:
-            row = graph.vertices.agg(
-                *[F.countDistinct(c).alias(c) for c in vprops]
-            ).collect()[0]
-            ndv.update({c: max(1, row[c]) for c in vprops})
-        eprops = [c for c in graph.edges.columns if c not in ("eid", "src", "dst")]
-        if eprops:
-            row = graph.edges.agg(
-                *[F.countDistinct(c).alias(c) for c in eprops]
-            ).collect()[0]
-            ndv.update({c: max(1, row[c]) for c in eprops})
-        vl = {
-            r["vlabel"]: r["count"] / nv
-            for r in graph.vertices.groupBy("vlabel").count().collect()
+        ndv = {
+            c: max(1, int(frame[c].nunique()))
+            for frame, props in ((vf, graph.vertex_props),
+                                 (ef, graph.edge_props))
+            for c in props
         }
+        vl = (vf["vlabel"].value_counts() / nv).to_dict()
         hints = {
             canon_atom(a): s for a, s in (sel_hints or {}).items()
         }

@@ -87,8 +87,4 @@ def example_graph(spark: SparkSession) -> PropertyGraph:
         columns=["eid", "src", "dst", "elabel", "amt", "currency", "date"],
     )
     edf = pd.concat([edf, owns[edf.columns]], ignore_index=True)
-    return PropertyGraph(
-        name="example",
-        vertices=spark.createDataFrame(vdf),
-        edges=spark.createDataFrame(edf),
-    )
+    return PropertyGraph("example", spark, vdf, edf)

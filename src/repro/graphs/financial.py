@@ -13,8 +13,14 @@ threshold with a given selectivity; Section 5.4 needs the money-flow
 ``alpha`` window calibrated to a target selectivity.  Both calibrations
 are empirical (quantiles over the actual generated values), matching
 the paper's "we set alpha ... to have a 5% selectivity".
+
+Decoration and calibration read and write the graph's pandas frames
+only; each decorator returns a new graph over new frames, in ``vid``
+and ``eid`` order, and leaves the Spark tables to be made on first use.
 """
 from __future__ import annotations
+
+from dataclasses import replace
 
 import numpy as np
 
@@ -30,19 +36,19 @@ def decorate_financial(
 ) -> PropertyGraph:
     """Add acc/city vertex properties and amt/date edge properties."""
     rng = np.random.default_rng(seed)
-    vdf = graph.vertices.toPandas().sort_values("vid").reset_index(drop=True)
-    edf = graph.edges.toPandas().sort_values("eid").reset_index(drop=True)
+    nv, ne = graph.num_vertices, graph.num_edges
     if n_cities is None:
-        n_cities = max(4, len(vdf) // 50)
-    vdf["acc"] = np.where(rng.random(len(vdf)) < 0.5, "CQ", "SV")
-    vdf["city"] = [f"C{k}" for k in rng.integers(0, n_cities, len(vdf))]
-    edf["amt"] = np.round(rng.uniform(AMT_LO, AMT_HI, len(edf)), 2)
-    edf["date"] = rng.integers(0, DATE_DAYS, len(edf)).astype(np.int64)
-    spark = graph.vertices.sparkSession
-    return PropertyGraph(
-        name=graph.name + "+fin",
-        vertices=spark.createDataFrame(vdf),
-        edges=spark.createDataFrame(edf),
+        n_cities = max(4, nv // 50)
+    vdf = graph.vertex_frame.assign(
+        acc=np.where(rng.random(nv) < 0.5, "CQ", "SV"),
+        city=[f"C{k}" for k in rng.integers(0, n_cities, nv)],
+    )
+    edf = graph.edge_frame.assign(
+        amt=np.round(rng.uniform(AMT_LO, AMT_HI, ne), 2),
+        date=rng.integers(0, DATE_DAYS, ne).astype(np.int64),
+    )
+    return replace(
+        graph, name=graph.name + "+fin", vertex_frame=vdf, edge_frame=edf,
         meta={**graph.meta, "n_cities": n_cities, "fin_seed": seed},
     )
 
@@ -50,13 +56,10 @@ def decorate_financial(
 def decorate_time(graph: PropertyGraph, *, seed: int = 13) -> PropertyGraph:
     """Add the MagicRecs integer ``time`` edge property."""
     rng = np.random.default_rng(seed)
-    edf = graph.edges.toPandas().sort_values("eid").reset_index(drop=True)
-    edf["time"] = rng.integers(0, TIME_RANGE, len(edf)).astype(np.int64)
-    spark = graph.vertices.sparkSession
-    return PropertyGraph(
-        name=graph.name + "+time",
-        vertices=graph.vertices,
-        edges=spark.createDataFrame(edf),
+    time = rng.integers(0, TIME_RANGE, graph.num_edges).astype(np.int64)
+    return replace(
+        graph, name=graph.name + "+time",
+        edge_frame=graph.edge_frame.assign(time=time),
         meta={**graph.meta, "time_seed": seed},
     )
 
@@ -64,9 +67,7 @@ def decorate_time(graph: PropertyGraph, *, seed: int = 13) -> PropertyGraph:
 def time_threshold(graph: PropertyGraph, selectivity: float) -> int:
     """Threshold T such that ``time > T`` selects ~``selectivity`` of
     edges ("started following recently", 5% in Section 5.3.1)."""
-    times = np.sort(
-        graph.edges.select("time").toPandas()["time"].to_numpy()
-    )
+    times = np.sort(graph.edge_frame["time"].to_numpy())
     idx = int(len(times) * (1.0 - selectivity))
     return int(times[min(idx, len(times) - 1)])
 
@@ -86,9 +87,8 @@ def calibrate_alpha(
     edge pairs drawn from the graph's actual (amt, date) distribution.
     """
     rng = np.random.default_rng(seed)
-    pdf = graph.edges.select("amt", "date").toPandas()
-    amt = pdf["amt"].to_numpy()
-    date = pdf["date"].to_numpy()
+    amt = graph.edge_frame["amt"].to_numpy()
+    date = graph.edge_frame["date"].to_numpy()
     i = rng.integers(0, len(amt), n_samples)
     j = rng.integers(0, len(amt), n_samples)
     base = (date[i] < date[j]) & (amt[j] < amt[i])

@@ -12,14 +12,17 @@ cycles for the cyclic workloads).
 labels, *j* random edge labels, uniform — is reproduced by
 :func:`with_labels`.
 
-All generation is driver-side NumPy (deterministic in ``seed``) and is
-handed to Spark via ``createDataFrame``; graphs at this scale are a few
-MB, well under the generator budget, while query intermediates (the
-thing being benchmarked) reach millions of rows.
+All generation is driver-side NumPy over pandas frames, deterministic
+in ``seed``: :func:`powerlaw_digraph` makes the frames and
+:func:`with_labels` replaces their label columns.  Neither touches
+Spark; the graph hands each frame to Spark once, when an index or plan
+first reads it (:class:`~repro.graphs.schema.PropertyGraph`).  Graphs
+at this scale are a few MB, while query intermediates (the thing being
+benchmarked) reach millions of rows.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import pandas as pd
@@ -116,10 +119,8 @@ def powerlaw_digraph(
         {"vid": np.arange(n_vertices, dtype=np.int64), "vlabel": "V0"}
     )
     return PropertyGraph(
-        name=name,
-        vertices=spark.createDataFrame(vertices),
-        edges=spark.createDataFrame(edges),
-        meta={"seed": seed, "n_vertices": n_vertices, "n_edges": want},
+        name, spark, vertices, edges,
+        {"seed": seed, "n_vertices": n_vertices, "n_edges": want},
     )
 
 
@@ -128,19 +129,17 @@ def with_labels(
 ) -> PropertyGraph:
     """Random uniform ``G_{i,j}`` label decoration (Section 5.1).
 
-    Re-derives labels driver-side so the assignment is deterministic in
-    ``seed`` and identical for the DuckDB oracle.
+    Labels are drawn per row of the frames, in ``vid`` and ``eid``
+    order, so the assignment is deterministic in ``seed``.
     """
     rng = np.random.default_rng(seed)
-    vdf = graph.vertices.toPandas().sort_values("vid").reset_index(drop=True)
-    edf = graph.edges.toPandas().sort_values("eid").reset_index(drop=True)
-    vdf["vlabel"] = [f"V{k}" for k in rng.integers(0, n_vlabels, len(vdf))]
-    edf["elabel"] = [f"E{k}" for k in rng.integers(0, n_elabels, len(edf))]
-    spark = graph.vertices.sparkSession
-    return PropertyGraph(
+    vlabel = [f"V{k}" for k in rng.integers(0, n_vlabels, graph.num_vertices)]
+    elabel = [f"E{k}" for k in rng.integers(0, n_elabels, graph.num_edges)]
+    return replace(
+        graph,
         name=f"{graph.name}_{n_vlabels}_{n_elabels}",
-        vertices=spark.createDataFrame(vdf),
-        edges=spark.createDataFrame(edf),
+        vertex_frame=graph.vertex_frame.assign(vlabel=vlabel),
+        edge_frame=graph.edge_frame.assign(elabel=elabel),
         meta={**graph.meta, "n_vlabels": n_vlabels, "n_elabels": n_elabels},
     )
 

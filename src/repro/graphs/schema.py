@@ -1,12 +1,18 @@
 """Property-graph container and column contract.
 
-The whole reproduction works over two DataFrames:
+A graph's rows live in two pandas frames, and Spark gets each of them
+once:
 
-* ``vertices``: one row per vertex — ``vid`` (long), ``vlabel`` (string),
-  plus arbitrary property columns (``name``, ``city``, ``acc``, ...).
-* ``edges``: one row per directed edge — ``eid`` (long), ``src`` (long),
-  ``dst`` (long), ``elabel`` (string), plus arbitrary property columns
-  (``amt``, ``currency``, ``date``, ``time``, ...).
+* ``vertex_frame``: one row per vertex — ``vid`` (long), ``vlabel``
+  (string), plus arbitrary property columns (``name``, ``city``,
+  ``acc``, ...).
+* ``edge_frame``: one row per directed edge — ``eid`` (long), ``src``
+  (long), ``dst`` (long), ``elabel`` (string), plus arbitrary property
+  columns (``amt``, ``currency``, ``date``, ``time``, ...).
+
+The generators and decorators work on the frames alone.  ``vertices``
+and ``edges``, the Spark tables every index and plan reads, are made
+from the frames on first use, with one ``createDataFrame`` each.
 
 Graphs are *simple* per the generators' contract: at most one edge per
 ``(src, dst)`` pair. This matches the SNAP datasets the paper uses and
@@ -18,7 +24,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property
 
-from pyspark.sql import DataFrame
+import pandas as pd
+from pyspark.sql import DataFrame, SparkSession
 from pyspark.sql import functions as F
 
 VERTEX_KEY_COLS = ("vid", "vlabel")
@@ -27,37 +34,48 @@ EDGE_KEY_COLS = ("eid", "src", "dst", "elabel")
 
 @dataclass
 class PropertyGraph:
-    """A property graph as a pair of Spark DataFrames.
+    """A property graph: its rows as two pandas frames, and the Spark
+    tables made from them.
 
-    ``name`` identifies the dataset in job/benchmark output.  The
-    DataFrames are treated as immutable; index builders derive cached
-    artifacts from them.
+    ``name`` identifies the dataset in job/benchmark output.  The frames
+    are treated as immutable (a decorator returns a new graph over new
+    frames); index builders derive cached artifacts from the Spark
+    tables.
     """
 
     name: str
-    vertices: DataFrame
-    edges: DataFrame
+    spark: SparkSession
+    vertex_frame: pd.DataFrame
+    edge_frame: pd.DataFrame
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        vcols, ecols = set(self.vertices.columns), set(self.edges.columns)
-        missing_v = set(VERTEX_KEY_COLS) - vcols
-        missing_e = set(EDGE_KEY_COLS) - ecols
+        missing_v = set(VERTEX_KEY_COLS) - set(self.vertex_frame.columns)
+        missing_e = set(EDGE_KEY_COLS) - set(self.edge_frame.columns)
         if missing_v or missing_e:
             raise ValueError(
                 f"graph '{self.name}' missing required columns: "
                 f"vertices {sorted(missing_v)}, edges {sorted(missing_e)}"
             )
 
+    @cached_property
+    def vertices(self) -> DataFrame:
+        return self.spark.createDataFrame(self.vertex_frame)
+
+    @cached_property
+    def edges(self) -> DataFrame:
+        return self.spark.createDataFrame(self.edge_frame)
+
     @property
     def vertex_props(self) -> list[str]:
         """Vertex property columns (everything except ``vid``)."""
-        return [c for c in self.vertices.columns if c != "vid"]
+        return [c for c in self.vertex_frame.columns if c != "vid"]
 
     @property
     def edge_props(self) -> list[str]:
         """Edge property columns (everything except ids/endpoints)."""
-        return [c for c in self.edges.columns if c not in ("eid", "src", "dst")]
+        return [c for c in self.edge_frame.columns
+                if c not in ("eid", "src", "dst")]
 
     def bind_vertices(
         self, var: str, props: tuple[str, ...], *, probe: bool = False
@@ -88,20 +106,20 @@ class PropertyGraph:
             bound[k] = F.broadcast(df) if probe else df
         return bound[k]
 
-    @cached_property
+    @property
     def num_vertices(self) -> int:
-        return self.vertices.count()
+        return len(self.vertex_frame)
 
-    @cached_property
+    @property
     def num_edges(self) -> int:
-        return self.edges.count()
+        return len(self.edge_frame)
 
     @property
     def avg_degree(self) -> float:
         return self.num_edges / max(1, self.num_vertices)
 
     def cache(self) -> "PropertyGraph":
-        """Persist and materialize both DataFrames."""
+        """Persist and materialize both Spark tables."""
         self.vertices.cache().count()
         self.edges.cache().count()
         return self

@@ -14,6 +14,12 @@ configuration the jobs and the benchmark run.
   (the cores Spark sees under ``local[*]``).  Only the index builds
   shuffle, and their cached ``lists`` keep that many partitions, so
   each broadcast of a probe table runs one task per core, not more.
+* A pandas frame handed to ``createDataFrame`` becomes an RDD-backed
+  table (``LogicalRDD``), never a ``LocalRelation``
+  (``spark.sql.execution.arrow.localRelationThreshold`` is 0).  Below
+  that threshold Spark keeps the frame's rows inside the logical plan,
+  so every index and plan built over a graph table would carry the
+  graph, and each new Dataset's analysis would grow with it.
 * PySpark's DataFrame debugging (call-site capture) is off.  With it on,
   every ``functions.*`` and ``Column`` call made while a plan is built
   adds about six py4j round trips to record its Python call site.  The
@@ -70,6 +76,7 @@ def spark_session(app: str) -> SparkSession:
         "spark.driver.memory": driver_memory(),
         "spark.sql.adaptive.enabled": "false",
         "spark.sql.execution.arrow.pyspark.enabled": "true",
+        "spark.sql.execution.arrow.localRelationThreshold": "0",
         "spark.sql.autoBroadcastJoinThreshold": "-1",
         "spark.python.sql.dataFrameDebugging.enabled": "false",
         "spark.ui.enabled": "false",

@@ -324,10 +324,9 @@ def run_indirection(
     from repro.storage.indirection import MODES, enumerate_paths, prepare
 
     g = dataset(spark, "lj", scale=scale())
-    edges = g.edges.select("src", "dst").toPandas()
     nv = g.num_vertices
-    data = prepare(nv, edges["src"].to_numpy(), edges["dst"].to_numpy(),
-                   seed=seed)
+    data = prepare(nv, g.edge_frame["src"].to_numpy(),
+                   g.edge_frame["dst"].to_numpy(), seed=seed)
     rng = np.random.default_rng(seed)
     sources = rng.integers(0, nv, n_sources)
     cells = []
@@ -368,7 +367,7 @@ def run_maintenance(
         g = decorate_time(
             dataset(spark, ds, scale=scale(), n_vlabels=i, n_elabels=j)
         )
-        pdf = g.edges.select("eid", "src", "dst", "elabel", "time").toPandas()
+        pdf = g.edge_frame[["eid", "src", "dst", "elabel", "time"]]
         edges = [Edge(*t) for t in pdf.itertuples(index=False, name=None)]
         # alpha for P(t_b < t_a + alpha) == eb_selectivity, empirically
         times = pdf["time"].to_numpy()

@@ -1,8 +1,13 @@
-"""Dataset-analog generators: sizes, degree shape, determinism, labels."""
+"""Dataset-analog generators: sizes, degree shape, determinism, labels,
+and the one hand-off of each graph to Spark."""
 import numpy as np
+import pandas as pd
 import pytest
 from pyspark.sql import functions as F
 
+from repro.core.config import graphflow_default
+from repro.core.default_index import build_default_index
+from repro.graphs.financial import decorate_financial, decorate_time
 from repro.graphs.generators import DATASETS, dataset, powerlaw_digraph, with_labels
 
 
@@ -94,3 +99,75 @@ def test_with_labels_preserves_structure(spark):
     a = g0.edges.select("eid", "src", "dst").toPandas().sort_values("eid")
     b = g1.edges.select("eid", "src", "dst").toPandas().sort_values("eid")
     assert np.array_equal(a.to_numpy(), b.to_numpy())
+
+
+def _counting(monkeypatch, cls, name: str) -> list:
+    """Count the calls of method ``name`` of ``cls``."""
+    calls, orig = [], getattr(cls, name)
+
+    def counted(self, *args, **kwargs):
+        calls.append(name)
+        return orig(self, *args, **kwargs)
+
+    monkeypatch.setattr(cls, name, counted)
+    return calls
+
+
+def test_decorated_graph_crosses_to_spark_once(spark, monkeypatch):
+    """Generation and decoration stay in pandas: caching the decorated
+    graph makes one Spark table per frame, and nothing is copied back
+    out of Spark."""
+    created = _counting(monkeypatch, type(spark), "createDataFrame")
+    pulled = _counting(monkeypatch, type(spark.range(1)), "toPandas")
+    g = decorate_time(decorate_financial(
+        dataset(spark, "brk", scale="tiny", n_vlabels=2, n_elabels=2)
+    )).cache()
+    assert (len(created), len(pulled)) == (2, 0)
+    g.unpersist()
+
+
+def _analysed(df) -> str:
+    return df._jdf.queryExecution().analyzed().toString()
+
+
+def test_no_plan_carries_the_graphs_rows(spark):
+    """The graph tables are RDD-backed, so neither they nor an index
+    built on them hold the graph's rows in their plans."""
+    g = dataset(spark, "brk", scale="tiny", n_vlabels=2, n_elabels=2)
+    fw = build_default_index(g, graphflow_default("fw"))
+    for df in (g.vertices, g.edges, fw.lists):
+        plan = _analysed(df)
+        assert "LocalRelation" not in plan and "LogicalRDD" in plan, plan
+    fw.unpersist()
+
+
+def _fingerprint(frame: pd.DataFrame, key: str) -> int:
+    frame = frame.sort_values(key).reset_index(drop=True)
+    return int(pd.util.hash_pandas_object(frame).sum())
+
+
+#: (vertices, edges) fingerprints of the decorated graphs, taken when
+#: every generator and decorator still round-tripped through Spark
+PINNED = {
+    "brk": (9984215985291276932, 11350615610015062880),
+    "lj": (7132318825023670554, 13201954089405291710),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED))
+def test_generated_graph_is_pinned(spark, name):
+    """The frames and Spark's copy of them are the pinned graph, and the
+    graph's sizes are Spark's counts."""
+    if name == "brk":
+        g = decorate_time(decorate_financial(
+            dataset(spark, "brk", scale="tiny", n_vlabels=2, n_elabels=2)
+        ))
+    else:
+        g = decorate_time(dataset(spark, "lj", scale="bench", n_vlabels=2,
+                                  n_elabels=4, seed=701))
+    assert (_fingerprint(g.vertex_frame, "vid"),
+            _fingerprint(g.edge_frame, "eid")) == PINNED[name]
+    assert (_fingerprint(g.vertices.toPandas(), "vid"),
+            _fingerprint(g.edges.toPandas(), "eid")) == PINNED[name]
+    assert (g.num_vertices, g.num_edges) == (g.vertices.count(),
+                                             g.edges.count())

@@ -521,18 +521,6 @@ def test_index_probes_are_broadcast_hash_joins(ctx, capsys, path):
     assert "AdaptiveSparkPlan" not in executed, executed
 
 
-def _own_rdd_graph(spark) -> PropertyGraph:
-    """The Figure-1 graph over source RDDs of its own: Spark shares a
-    cache between DataFrames with the same plan, and the ``ctx``
-    fixture's indexes are built over the same data."""
-    ex = example_graph(spark)
-    return PropertyGraph(
-        "fig1-own-rdds",
-        *(spark.createDataFrame(df.rdd, df.schema)
-          for df in (ex.vertices, ex.edges)),
-    )
-
-
 def _d_vb_eb(g):
     """Build a default, a vertex-bound and an edge-bound index, one per
     ``next``."""
@@ -557,7 +545,7 @@ def test_each_index_caches_one_table_per_artifact(spark):
     persistent = spark.sparkContext._jsc.getPersistentRDDs
     built = []
     before = persistent().size()
-    for idx in _d_vb_eb(_own_rdd_graph(spark)):
+    for idx in _d_vb_eb(example_graph(spark)):
         built.append(idx)
         assert persistent().size() - before == 1, idx.name
         before = persistent().size()
@@ -570,7 +558,7 @@ def test_index_store_unpersist_leaves_no_cached_table(spark):
     count before the builds."""
     persistent = spark.sparkContext._jsc.getPersistentRDDs
     before = persistent().size()
-    fw, vb, eb = _d_vb_eb(_own_rdd_graph(spark))
+    fw, vb, eb = _d_vb_eb(example_graph(spark))
     store = IndexStore(fw, None, [vb], [eb])
     assert persistent().size() == before + 3
     store.unpersist()

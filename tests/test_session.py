@@ -38,13 +38,16 @@ def test_no_memtotal_is_lower_clamp(monkeypatch):
 
 
 def test_fixture_session_confs(spark):
-    """AQE is off, and the shuffle partitions are the session's cores
-    unless ``SPARK_SHUFFLE_PARTITIONS`` says otherwise."""
+    """AQE is off, the shuffle partitions are the session's cores
+    unless ``SPARK_SHUFFLE_PARTITIONS`` says otherwise, and a pandas
+    frame never becomes a ``LocalRelation``."""
     assert spark.conf.get("spark.sql.adaptive.enabled") == "false"
     want = os.environ.get("SPARK_SHUFFLE_PARTITIONS") or str(
         spark.sparkContext.defaultParallelism
     )
     assert spark.conf.get("spark.sql.shuffle.partitions") == want
+    assert spark.conf.get(
+        "spark.sql.execution.arrow.localRelationThreshold") == "0"
 
 
 def test_shuffle_partitions_env_overrides_parallelism(monkeypatch):
