@@ -1,9 +1,10 @@
 """Regenerate EXPERIMENTS.md from results/*.json.
 
 The paper's numbers are embedded here so every table renders
-paper-vs-measured side by side.  Run after the table jobs:
+paper-vs-measured side by side.  Run after the table job, once per
+table (``table2``–``table7``, ``indirection``, ``maintenance``):
 
-    python jobs/table4_magicrecs.py && ... && python jobs/render_experiments.py
+    python jobs/run.py table4 && ... && python jobs/render_experiments.py
 """
 from __future__ import annotations
 
@@ -127,9 +128,10 @@ P = out.append
 
 P("# EXPERIMENTS — paper vs measured\n")
 P("Generated by `jobs/render_experiments.py` from `results/*.json` "
-  "(written by the `jobs/` entrypoints; regenerate after re-running "
-  "them).\n")
-P("Environment: single `local[*]` Spark 4.1 session (16 cores), graph "
+  "(written by `jobs/run.py <table>`; regenerate after re-running "
+  "it).\n")
+P("Environment: single `local[*]` Spark 4.1 session (all the machine's "
+  "cores; the machine behind `results/` is not recorded), graph "
   "analogs at ~1/600 of the paper's scale with matched average degrees "
   "(DESIGN.md §7), warm-run timing (one untimed execution, then one "
   "timed).  The paper uses a single-core Java in-memory system on the "

@@ -1,4 +1,12 @@
-"""Index configuration and the shared predicate AST.
+"""Index configuration, the role vocabulary and the shared predicate AST.
+
+A list table's columns are about one of four *roles* (Section 2.2):
+the adjacent edge ``e_adj``, the neighbour vertex ``v_nbr``, the vertex
+that owns the list ``v_shared`` and, in edge-bound indexes, the bound
+edge ``e_b``.  ``role_col`` names the column that holds a role's
+property, and is the one place those names are spelled.  An edge
+view's endpoint roles ``v_s``/``v_d`` become ``v_shared``/``v_nbr``
+through ``edge_roles`` once the index's direction is known.
 
 ``PropRef`` names a property of either the *adjacent edge* (``e_adj``
 in the paper's CREATE/RECONFIGURE syntax) or the *neighbour vertex*
@@ -23,6 +31,55 @@ from pyspark.sql import Column
 from pyspark.sql import functions as F
 
 # ---------------------------------------------------------------------------
+# Roles and list-table columns
+
+E_ADJ, V_NBR, V_SHARED, E_B = "e_adj", "v_nbr", "v_shared", "e_b"
+
+#: role -> (id column, property-column prefix); edge properties keep
+#: their names ("elabel", "amt", ...)
+_ROLE_COLS = {
+    E_ADJ: ("eid", ""),
+    V_NBR: ("nbr", "nbr_"),
+    V_SHARED: ("pk", "self_"),
+    E_B: ("bid", "b_"),
+}
+ROLES = frozenset(_ROLE_COLS)
+
+
+def canon_prop(prop: str) -> str:
+    """Accept the paper's surface names: ``label``→``elabel``, ``ID``→vid."""
+    return {"label": "elabel", "ID": "vid", "id": "vid"}.get(prop, prop)
+
+
+def role_col(role: str, prop: str) -> str:
+    """The list-table column holding ``role``'s property ``prop`` (its
+    id for ``vid``)."""
+    id_col, prefix = _ROLE_COLS[role]
+    prop = canon_prop(prop)
+    return id_col if prop == "vid" else prefix + prop
+
+
+def field_role(col: str) -> tuple[str, str]:
+    """``(role, prop)`` of a list entry's field: the inverse of
+    ``role_col`` over the adjacent edge and the neighbour, the two
+    roles list entries carry."""
+    nbr_id, nbr_prefix = _ROLE_COLS[V_NBR]
+    if col == nbr_id:
+        return V_NBR, "vid"
+    if col.startswith(nbr_prefix):
+        return V_NBR, col[len(nbr_prefix):]
+    return E_ADJ, "vid" if col == _ROLE_COLS[E_ADJ][0] else col
+
+
+def edge_roles(direction: str) -> dict[str, str]:
+    """An edge view's roles in the lists of a ``direction`` index: the
+    list's owner is the source ``v_s`` of a forward list and the
+    destination ``v_d`` of a backward one."""
+    owner, nbr = ("v_s", "v_d") if direction == "fw" else ("v_d", "v_s")
+    return {E_ADJ: E_ADJ, owner: V_SHARED, nbr: V_NBR}
+
+
+# ---------------------------------------------------------------------------
 # Property references
 
 EDGE = "edge"
@@ -32,15 +89,15 @@ NBR = "nbr"
 #: neighbour id and edge label themselves.
 PropRef = tuple[str, str]
 
+_OWNER_ROLES = {EDGE: E_ADJ, NBR: V_NBR}
+
 
 def propref_col(ref: PropRef) -> str:
     """Flat-DataFrame column name for a PropRef (see default_index)."""
     owner, prop = ref
-    if owner == EDGE:
-        return prop  # edge props keep their names ("elabel", "amt", ...)
-    if owner == NBR:
-        return "nbr" if prop == "vid" else f"nbr_{prop}"
-    raise ValueError(f"unknown PropRef owner {owner!r}")
+    if owner not in _OWNER_ROLES:
+        raise ValueError(f"unknown PropRef owner {owner!r}")
+    return role_col(_OWNER_ROLES[owner], prop)
 
 
 @dataclass(frozen=True)
@@ -61,7 +118,7 @@ class IndexConfig:
         if self.direction not in ("fw", "bw"):
             raise ValueError(f"direction must be fw/bw, got {self.direction!r}")
         for ref in (*self.partition_by, *self.sort_by):
-            if ref[0] not in (EDGE, NBR):
+            if ref[0] not in _OWNER_ROLES:
                 raise ValueError(f"bad PropRef {ref!r}")
 
     @property
@@ -96,11 +153,6 @@ _SQL_OPS = {"=": "=", "!=": "<>", "<": "<", "<=": "<=", ">": ">", ">=": ">="}
 Ref = tuple[str, str]  # (entity, prop) — entity is a view role or query var
 
 
-def canon_prop(prop: str) -> str:
-    """Accept the paper's surface names: ``label``→``elabel``, ``ID``→vid."""
-    return {"label": "elabel", "ID": "vid", "id": "vid"}.get(prop, prop)
-
-
 @dataclass(frozen=True)
 class Atom:
     """One comparison: ``lhs op rhs (+ delta)``.
@@ -132,6 +184,13 @@ class Atom:
         if self.rhs_is_ref:
             ents.add(self.rhs[0])
         return ents
+
+    def rename(self, mapping: dict[str, str]) -> Atom:
+        """This atom with every entity ``e`` replaced by ``mapping[e]``."""
+        lhs, rhs = (mapping[self.lhs[0]], self.lhs[1]), self.rhs
+        if self.rhs_is_ref:
+            rhs = (mapping[rhs[0]], rhs[1])
+        return Atom(lhs, self.op, rhs, self.delta)
 
     # -- compilation -------------------------------------------------------
     def to_spark(self, resolve: Callable[[Ref], Column]) -> Column:

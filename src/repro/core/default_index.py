@@ -35,7 +35,7 @@ from pyspark.sql import Column, DataFrame
 from pyspark.sql import functions as F
 from pyspark.sql.window import Window
 
-from repro.core.config import IndexConfig
+from repro.core.config import V_NBR, V_SHARED, IndexConfig, role_col
 from repro.core.probes import ListAccess, ListIndex, entry_cond
 from repro.graphs.schema import PropertyGraph
 
@@ -50,10 +50,12 @@ def _flat_edges(graph: PropertyGraph, direction: str) -> DataFrame:
     )
     vprops = graph.vertex_props
     nbr_v = graph.vertices.select(
-        F.col("vid").alias("__nv"), *[F.col(p).alias(f"nbr_{p}") for p in vprops]
+        F.col("vid").alias("__nv"),
+        *[F.col(p).alias(role_col(V_NBR, p)) for p in vprops],
     )
     self_v = graph.vertices.select(
-        F.col("vid").alias("__sv"), *[F.col(p).alias(f"self_{p}") for p in vprops]
+        F.col("vid").alias("__sv"),
+        *[F.col(p).alias(role_col(V_SHARED, p)) for p in vprops],
     )
     flat = flat.join(nbr_v, flat["nbr"] == nbr_v["__nv"], "left").drop("__nv")
     flat = flat.join(self_v, flat["pk"] == self_v["__sv"], "left").drop("__sv")

@@ -22,38 +22,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property
 
-from pyspark.sql import Column, DataFrame
+from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
 
-from repro.core.config import IndexConfig, canon_prop
+from repro.core.config import E_B, Atom, IndexConfig, role_col
 from repro.core.default_index import DefaultIndex
 from repro.core.probes import OffsetListIndex, build_offset_lists
 from repro.core.views import TwoPathView
-
-
-def twopath_entity_resolver(anchor: str):
-    """Column resolver for TwoPathView predicates over the joined
-    (bound edge × adjacent flat edge) DataFrame.
-
-    Bound-edge columns are prefixed ``b_``; adjacent-edge and neighbour
-    columns come from the default index's flat layout.  ``v_shared`` is
-    the anchor vertex (its properties ride along as ``self_*`` on the
-    adjacent edge).
-    """
-
-    def resolve(ref: tuple[str, str]) -> Column:
-        ent, prop = ref[0], canon_prop(ref[1])
-        if ent == "e_b":
-            return F.col("bid") if prop == "vid" else F.col(f"b_{prop}")
-        if ent == "e_adj":
-            return F.col("eid") if prop == "vid" else F.col(prop)
-        if ent == "v_nbr":
-            return F.col("nbr") if prop == "vid" else F.col(f"nbr_{prop}")
-        if ent == "v_shared":
-            return F.col("pk") if prop == "vid" else F.col(f"self_{prop}")
-        raise KeyError(f"cannot resolve {ent}.{prop} in 2-path context")
-
-    return resolve
 
 
 @dataclass
@@ -71,6 +46,11 @@ class EdgeBoundIndex(OffsetListIndex):
     @property
     def orientation(self):
         return self.view.orientation
+
+    @property
+    def atoms(self) -> tuple[Atom, ...]:
+        """The view's predicates, which 2-path views write in role form."""
+        return self.view.predicates
 
     @cached_property
     def memory_bytes(self) -> int:
@@ -111,18 +91,17 @@ def build_edge_bound(
     graph = base.graph
     eprops = graph.edge_props
     bound = graph.edges.select(
-        F.col("eid").alias("bid"),
+        F.col("eid").alias(role_col(E_B, "vid")),
         F.col(o.anchor).alias("anchor"),
-        *[F.col(p).alias(f"b_{p}") for p in eprops],
+        *[F.col(p).alias(role_col(E_B, p)) for p in eprops],
     )
     flat = base.flat
     joined = bound.join(flat, bound["anchor"] == flat["pk"], "inner")
     # Exclude the bound edge itself from its own neighbourhood: a 2-path
     # is two distinct edges (relevant for reciprocal edges in bw lists).
     joined = joined.where(F.col("bid") != F.col("eid"))
-    resolve = twopath_entity_resolver(o.anchor)
     for atom in view.predicates:
-        joined = joined.where(atom.to_spark(resolve))
+        joined = joined.where(atom.to_spark(lambda r: F.col(role_col(*r))))
     lists = build_offset_lists(
         name, base, config, joined, ("bid", "anchor"), "anchor"
     )

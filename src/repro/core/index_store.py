@@ -9,6 +9,8 @@ vertex- or edge-bound index whose view's predicates are satisfied by
 Subsumption is syntactic, over canonicalized atoms (entity role, prop,
 op, rhs, delta) — the paper's INDEX STORE likewise matches the stored
 predicate/sort criteria of each index against the query's predicates.
+Both sides are in role form (``repro.core.config``): an index's
+``atoms`` and the optimizer's translation of each extension.
 """
 from __future__ import annotations
 
@@ -28,33 +30,11 @@ def canon_atom(a: Atom) -> tuple:
     return (lhs, a.op, rhs, a.delta)
 
 
-def normalize_nbr_role(a: Atom, direction: str) -> Atom:
-    """Rewrite the neighbour-endpoint role (``v_d`` in forward indexes,
-    ``v_s`` in backward) to the canonical ``v_nbr`` alias, so view
-    definitions and extension atoms compare regardless of which surface
-    name was used."""
-    nbr = "v_d" if direction == "fw" else "v_s"
-
-    def sub(ref):
-        if isinstance(ref, tuple) and ref[0] == nbr:
-            return ("v_nbr", ref[1])
-        return ref
-
-    rhs = sub(a.rhs) if a.rhs_is_ref else a.rhs
-    return Atom(sub(a.lhs), a.op, rhs, a.delta)
-
-
 def atoms_subsumed(
-    view_atoms: tuple[Atom, ...],
-    role_atoms: list[Atom],
-    direction: str | None = None,
+    view_atoms: tuple[Atom, ...], role_atoms: list[Atom]
 ) -> bool:
-    """True iff every view atom appears among the query's role-space
-    atoms (after neighbour-role normalization when a direction is
-    given)."""
-    if direction is not None:
-        view_atoms = tuple(normalize_nbr_role(a, direction) for a in view_atoms)
-        role_atoms = [normalize_nbr_role(a, direction) for a in role_atoms]
+    """True iff every view atom appears among the query's role-form
+    atoms."""
     have = {canon_atom(a) for a in role_atoms}
     return all(canon_atom(v) in have for v in view_atoms)
 
@@ -100,7 +80,7 @@ class IndexStore:
             vb
             for vb in self.vertex_bound
             if vb.direction == direction
-            and atoms_subsumed(vb.view.predicates, role_atoms, direction)
+            and atoms_subsumed(vb.atoms, role_atoms)
         ]
 
     def match_edge_bound(
@@ -112,7 +92,7 @@ class IndexStore:
             eb
             for eb in self.edge_bound
             if eb.orientation.name == orientation.name
-            and atoms_subsumed(eb.view.predicates, role_atoms)
+            and atoms_subsumed(eb.atoms, role_atoms)
         ]
 
     def unpersist(self) -> None:

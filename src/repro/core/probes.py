@@ -82,10 +82,12 @@ class ListIndex:
     """What the three index kinds share: granular-list lookup, the
     probe-table cache and the one cached table, ``lists``.  Subclasses
     are dataclasses with ``name``, ``config`` and ``lists``, and say how
-    a list's entries are read (``_entries``) and which column keys a
-    list (``_key``)."""
+    a list's entries are read (``_entries``), which column keys a list
+    (``_key``) and which view predicates, in role form, every list
+    already satisfies (``atoms``)."""
 
     _key = "pk"
+    atoms: tuple = ()
 
     def unpersist(self) -> None:
         self.lists.unpersist()

@@ -21,35 +21,18 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property
 
-from pyspark.sql import Column, DataFrame
+from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
 
-from repro.core.config import IndexConfig, canon_prop
+from repro.core.config import Atom, IndexConfig, edge_roles, role_col
 from repro.core.default_index import DefaultIndex
 from repro.core.probes import OffsetListIndex, build_offset_lists
 from repro.core.views import EdgeView
 
 
-def view_entity_resolver(base: DefaultIndex):
-    """Column resolver for EdgeView predicates over a direction's flat DF.
-
-    In a forward index the partitioning vertex *is* ``v_s`` and the
-    neighbour is ``v_d``; in a backward index they swap.
-    """
-    fw = base.direction == "fw"
-    self_role, nbr_role = ("v_s", "v_d") if fw else ("v_d", "v_s")
-
-    def resolve(ref: tuple[str, str]) -> Column:
-        ent, prop = ref[0], canon_prop(ref[1])
-        if ent == "e_adj":
-            return F.col("eid") if prop == "vid" else F.col(prop)
-        if ent == self_role:
-            return F.col("pk") if prop == "vid" else F.col(f"self_{prop}")
-        if ent == nbr_role or ent == "v_nbr":
-            return F.col("nbr") if prop == "vid" else F.col(f"nbr_{prop}")
-        raise KeyError(f"cannot resolve {ent}.{prop} in edge-view context")
-
-    return resolve
+def _role_atoms(view: EdgeView, direction: str) -> tuple[Atom, ...]:
+    roles = edge_roles(direction)
+    return tuple(a.rename(roles) for a in view.predicates)
 
 
 @dataclass
@@ -65,6 +48,12 @@ class VertexBoundIndex(OffsetListIndex):
     @property
     def direction(self) -> str:
         return self.config.direction
+
+    @property
+    def atoms(self) -> tuple[Atom, ...]:
+        """The view's predicates in role form (``v_s``/``v_d`` become
+        ``v_shared``/``v_nbr`` by the index's direction)."""
+        return _role_atoms(self.view, self.direction)
 
     @property
     def shares_layers(self) -> bool:
@@ -98,9 +87,8 @@ def build_vertex_bound(
         )
     name = name or f"VB.{view.name}.{config.direction}"
     flat = base.flat
-    resolve = view_entity_resolver(base)
-    for atom in view.predicates:
-        flat = flat.where(atom.to_spark(resolve))
+    for atom in _role_atoms(view, base.direction):
+        flat = flat.where(atom.to_spark(lambda r: F.col(role_col(*r))))
     lists = build_offset_lists(name, base, config, flat, ("pk",), "pk")
     return VertexBoundIndex(
         name=name, view=view, config=config, base=base, lists=lists

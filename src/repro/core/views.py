@@ -5,7 +5,11 @@ edge table whose predicates may reference the adjacent edge (``e_adj``)
 and the endpoint vertices (``v_s``, ``v_d``).  ``TwoPathView`` is
 ``CREATE 2PATH VIEW``: a selection over 2-paths in one of the four
 orientations, whose predicates may reference the bound edge (``e_b``),
-the adjacent edge (``e_adj``) and the far vertex (``v_nbr``).
+the adjacent edge (``e_adj``), the far vertex (``v_nbr``) and the
+shared vertex (``v_shared``): the role vocabulary of
+``repro.core.config``, so its predicates are already in role form.
+An edge view's predicates reach role form through ``edge_roles`` when
+a vertex-bound index of a known direction is built over it.
 
 Per Section 2.2.2, a 2-path view must contain at least one predicate
 that accesses properties of **both** edges; otherwise the view would
@@ -16,11 +20,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.core.config import Atom
+from repro.core.config import ROLES, Atom
 
 # entity roles allowed in view predicates
 EDGE_VIEW_ENTITIES = {"e_adj", "v_s", "v_d"}
-TWOPATH_VIEW_ENTITIES = {"e_b", "e_adj", "v_nbr", "v_shared"}
+TWOPATH_VIEW_ENTITIES = ROLES
 
 
 class RedundantViewError(ValueError):

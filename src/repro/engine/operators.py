@@ -47,7 +47,7 @@ from dataclasses import dataclass
 from pyspark.sql import Column, DataFrame
 from pyspark.sql import functions as F
 
-from repro.core.config import Atom, canon_prop
+from repro.core.config import E_ADJ, V_NBR, Atom, canon_prop, field_role
 from repro.core.edge_bound import EdgeBoundIndex
 from repro.core.index_store import IndexStore
 from repro.core.probes import ListAccess, ListIndex
@@ -101,21 +101,30 @@ def _key_col(matches: DataFrame, idx: ListIndex, from_var: str) -> str:
 
 
 def _entry_projection(
-    x: Column, fields: tuple[str, ...], to_var: str, edge_var: str | None
+    x: Column, fields: tuple[str, ...], to_var: str | None,
+    edge_var: str | None,
 ) -> list[Column]:
     """Columns produced by materializing one list entry as a match
-    extension: the new vertex, its properties, and the new edge."""
-    cols = [x["nbr"].alias(to_var)]
-    for f_ in fields:
-        if f_.startswith("nbr_"):
-            cols.append(x[f_].alias(f"{to_var}__{f_[4:]}"))
+    extension: the new vertex and its properties, then the new edge and
+    its properties (``None`` skips either half)."""
+    cols = []
+    if to_var is not None:
+        cols += [x["nbr"].alias(to_var), *_prop_cols(x, fields, V_NBR, to_var)]
     if edge_var is not None:
-        cols.append(x["eid"].alias(f"{edge_var}__eid"))
-        for f_ in fields:
-            if f_ in ("eid", "nbr") or f_.startswith("nbr_"):
-                continue
-            cols.append(x[f_].alias(f"{edge_var}__{f_}"))
+        cols += [x["eid"].alias(f"{edge_var}__eid"),
+                 *_prop_cols(x, fields, E_ADJ, edge_var)]
     return cols
+
+
+def _prop_cols(x: Column, fields: tuple[str, ...], role: str,
+               var: str) -> list[Column]:
+    """``var``'s property columns: the entry fields holding ``role``'s
+    properties."""
+    return [
+        x[f_].alias(f"{var}__{prop}")
+        for f_, (r, prop) in zip(fields, map(field_role, fields))
+        if r == role and prop != "vid"
+    ]
 
 
 def _fetch_missing_props(
@@ -244,13 +253,10 @@ class CloseExtend:
         df = df.select(matches["*"], F.explode("__arr0").alias("__x"))
         x = F.col("__x")
         df = df.where(x["nbr"] == F.col(self.to_existing))
-        cols = [x["eid"].alias(f"{self.edge_var}__eid")]
-        for f_ in idx.struct_fields:
-            if f_ in ("eid", "nbr") or f_.startswith("nbr_"):
-                continue
-            cols.append(x[f_].alias(f"{self.edge_var}__{f_}"))
-        df = df.select(matches["*"], *cols)
-        return df
+        return df.select(
+            matches["*"],
+            *_entry_projection(x, idx.struct_fields, None, self.edge_var),
+        )
 
     def describe(self) -> str:
         return (

@@ -56,8 +56,9 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, replace
 
-from repro.core.config import NBR, Atom, canon_prop, propref_col
-from repro.core.index_store import canon_atom, normalize_nbr_role
+from repro.core.config import (E_ADJ, E_B, NBR, V_NBR, V_SHARED, Atom,
+                                canon_prop, field_role, propref_col, role_col)
+from repro.core.index_store import canon_atom
 from repro.core.views import ORIENTATIONS
 from repro.engine.catalogue import Catalogue
 from repro.engine.operators import (
@@ -289,7 +290,7 @@ class Optimizer:
         """The MULTI-EXTEND of the vertices ``T`` (each joined to the
         bound vertices by one edge, ``one_edge[x]``) on ``prop``, or
         ``None`` when some list is not sorted on it."""
-        field_name = f"nbr_{prop}"
+        field_name = role_col(V_NBR, prop)
         targets, sat, acc, out = [], set(), 0.0, 1.0
         posts: list[Atom] = []
         for x in T:
@@ -331,77 +332,56 @@ class Optimizer:
         u = c.src if c.dst == x else c.dst
         d = "fw" if c.src == u else "bw"
         evar = c.name
-        nbr_role = "v_d" if d == "fw" else "v_s"
-        src_role = "v_s" if d == "fw" else "v_d"
 
-        # query-space atoms this extension could enforce locally
-        local_q = [
-            a for a in q.atoms
+        # query atoms this extension could enforce locally, in role form:
+        # through a default or vertex-bound list of either direction the
+        # edge is e_adj, the new vertex v_nbr and the bound one v_shared
+        roles = {evar: E_ADJ, x: V_NBR, u: V_SHARED}
+        pairs_v = [
+            (a, a.rename(roles)) for a in q.atoms
             if canon_atom(a) not in st.applied
             and a.entities() <= {evar, x} and not a.rhs_is_ref
         ]
-
-        v_rolemap = {evar: "e_adj", x: nbr_role, u: src_role}
-        pairs_v = [(a, self._translate(a, v_rolemap)) for a in local_q]
 
         cands = self._index_cands(self.ctx.store.default(d), u, d, pairs_v)
         if not self.a_plus:
             return cands
         role_atoms = [ra for _, ra in pairs_v]
         for vb in self.ctx.store.match_vertex_bound(d, role_atoms):
-            cands += self._index_cands(
-                vb, u, d, pairs_v, view_atoms=vb.view.predicates
-            )
+            cands += self._index_cands(vb, u, d, pairs_v)
         for bvar in st.bound_e:
             qb = q.edge(bvar)
             for anch in ("dst", "src"):
                 if getattr(qb, anch) != u:
                     continue
-                ori = next(
-                    (o for o in ORIENTATIONS.values()
-                     if o.anchor == anch and o.adj_dir == d), None,
-                )
-                if ori is None:
-                    continue
-                ebmap = {bvar: "e_b", evar: "e_adj", x: "v_nbr",
-                         u: "v_shared"}
-                pairs_eb = [(a, self._translate(a, ebmap)) for a in local_q]
-                for a in q.atoms:
-                    if canon_atom(a) in st.applied:
-                        continue
-                    ents = a.entities()
-                    if bvar in ents and ents <= {bvar, evar, x, u}:
-                        pairs_eb.append((a, self._translate(a, ebmap)))
+                ori = next(o for o in ORIENTATIONS.values()
+                           if o.anchor == anch and o.adj_dir == d)
+                eb_roles = {**roles, bvar: E_B}
+                pairs_eb = pairs_v + [
+                    (a, a.rename(eb_roles)) for a in q.atoms
+                    if canon_atom(a) not in st.applied
+                    and bvar in a.entities()
+                    and a.entities() <= {bvar, evar, x, u}
+                ]
                 role_atoms = [ra for _, ra in pairs_eb]
                 for eb in self.ctx.store.match_edge_bound(ori, role_atoms):
-                    cands += self._index_cands(
-                        eb, bvar, d, pairs_eb, view_atoms=eb.view.predicates,
-                    )
+                    cands += self._index_cands(eb, bvar, d, pairs_eb)
         return cands
 
-    @staticmethod
-    def _translate(a: Atom, rolemap: dict[str, str]) -> Atom:
-        lhs = (rolemap[a.lhs[0]], a.lhs[1])
-        rhs = (rolemap[a.rhs[0]], a.rhs[1]) if a.rhs_is_ref else a.rhs
-        return Atom(lhs, a.op, rhs, a.delta)
-
-    def _index_cands(
-        self, idx, from_var, d, pairs, view_atoms=()
-    ) -> list[AccessCand]:
+    def _index_cands(self, idx, from_var, d, pairs) -> list[AccessCand]:
         """Build the access candidate for one concrete index.
 
         ``pairs`` is [(query atom, role atom)].  Atoms enforced by the
-        index's *view* are free; partition-column equalities become
-        lookup keys; leading-sort-column literals become array
-        predicates; the rest are left to a FILTER after the access.
+        index's *view* (its role-form ``atoms``) are free;
+        partition-column equalities become lookup keys;
+        leading-sort-column literals become array predicates; the rest
+        are left to a FILTER after the access.
         """
-        view_canon = {
-            canon_atom(normalize_nbr_role(v, d)) for v in view_atoms
-        }
+        view_canon = {canon_atom(v) for v in idx.atoms}
         satisfied: set = set()
         rest: list[tuple[Atom, Atom]] = []
         for qa, ra in pairs:
-            if canon_atom(normalize_nbr_role(ra, d)) in view_canon:
+            if canon_atom(ra) in view_canon:
                 satisfied.add(canon_atom(qa))
             else:
                 rest.append((qa, ra))
@@ -413,7 +393,7 @@ class Optimizer:
             hit = next(
                 ((qa, ra) for qa, ra in rest
                  if ra.op == "=" and not ra.rhs_is_ref
-                 and self._role_col(ra, d) == col),
+                 and role_col(*ra.lhs) == col),
                 None,
             )
             if hit is None:
@@ -429,7 +409,7 @@ class Optimizer:
                 col = propref_col(ref)
                 hits = [
                     (qa, ra) for qa, ra in rest
-                    if not ra.rhs_is_ref and self._role_col(ra, d) == col
+                    if not ra.rhs_is_ref and role_col(*ra.lhs) == col
                 ]
                 for qa, ra in hits:
                     array_preds.append((col, ra.op, qa.rhs))
@@ -455,7 +435,7 @@ class Optimizer:
                                   tuple(array_preds)),
                 from_var=from_var,
                 est_accessed=self._estimate(d, part_eq, array_preds,
-                                            view_atoms),
+                                            idx.atoms),
                 satisfied=frozenset(satisfied),
                 post_atoms=tuple(qa for qa, _ in rest),
                 id_sorted=id_sorted,
@@ -463,28 +443,21 @@ class Optimizer:
             )
         ]
 
-    @staticmethod
-    def _role_col(ra: Atom, d: str) -> str | None:
-        """List-table column a role-space reference addresses, if any."""
-        ent, prop = ra.lhs[0], canon_prop(ra.lhs[1])
-        if ent == "e_adj":
-            return "eid" if prop == "vid" else prop
-        nbr = "v_d" if d == "fw" else "v_s"
-        if ent in ("v_nbr", nbr):
-            return "nbr" if prop == "vid" else f"nbr_{prop}"
-        return None
-
     def _estimate(self, d, part_eq, array_preds, view_atoms) -> float:
         elab = next((v for c, v in part_eq if c == "elabel"), None)
-        vlab = next((v for c, v in part_eq if c == "nbr_vlabel"), None)
+        vlab = next((v for c, v in part_eq
+                     if c == role_col(V_NBR, "vlabel")), None)
         stored = self.cat.avg_len(d, elab, vlab)
         for a in view_atoms:
             if canon_prop(a.lhs[1]) == "elabel" and a.op == "=" and elab:
                 continue
             stored *= self.cat.atom_sel(a)
         accessed = stored
+        # a prune's atom names no query variable, so no sel hint applies;
+        # an id keeps its column name, which has no NDV in the catalogue
         for col, op, val in array_preds:
-            prop = col[4:] if col.startswith("nbr_") else col
+            prop = field_role(col)[1]
+            prop = col if prop == "vid" else prop
             accessed *= self.cat.atom_sel(Atom(("x", prop), op, val))
         return accessed
 

@@ -71,11 +71,10 @@ class Cell:
         return asdict(self)
 
 
-def timed_count(plan, ctx, *, warmup: bool = True) -> tuple[float, int]:
+def timed_count(plan, ctx) -> tuple[float, int]:
     """One warm-up execution (codegen compilation, cache touch), then
     one timed execution — the paper measures a warm in-memory system."""
-    if warmup:
-        plan.count(ctx)
+    plan.count(ctx)
     t0 = time.perf_counter()
     n = plan.count(ctx)
     return time.perf_counter() - t0, n
@@ -288,7 +287,6 @@ def run_table7(
     spark: SparkSession,
     datasets: tuple[str, ...] = ("lj", "wt"),
     queries: tuple[str, ...] = ("SQ1", "SQ2", "SQ3", "SQ13"),
-    timeout_s: float = 300.0,
 ) -> list[Cell]:
     labels = {"lj": (12, 2), "wt": (4, 2)}
     cells = []

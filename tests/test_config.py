@@ -7,8 +7,10 @@ from repro.core.config import (
     NBR,
     Atom,
     IndexConfig,
+    field_role,
     graphflow_default,
     propref_col,
+    role_col,
 )
 
 
@@ -19,6 +21,26 @@ def test_propref_cols():
     assert propref_col((NBR, "city")) == "nbr_city"
     with pytest.raises(ValueError):
         propref_col(("nope", "x"))
+
+
+def test_role_cols():
+    assert role_col("e_adj", "vid") == "eid"
+    assert role_col("e_adj", "label") == "elabel"
+    assert role_col("v_nbr", "ID") == "nbr"
+    assert role_col("v_nbr", "city") == "nbr_city"
+    assert role_col("v_shared", "vid") == "pk"
+    assert role_col("v_shared", "city") == "self_city"
+    assert role_col("e_b", "vid") == "bid"
+    assert role_col("e_b", "amt") == "b_amt"
+    with pytest.raises(KeyError):
+        role_col("v_s", "city")
+
+
+@pytest.mark.parametrize("role, prop", [
+    ("e_adj", "vid"), ("e_adj", "amt"), ("v_nbr", "vid"), ("v_nbr", "city"),
+])
+def test_field_role_inverts_role_col(role, prop):
+    assert field_role(role_col(role, prop)) == (role, prop)
 
 
 def test_graphflow_default():

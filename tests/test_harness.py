@@ -1,11 +1,16 @@
 """Harness smoke tests at tiny scale: every run_table* produces cells
 with the right grid structure and sane values."""
+import importlib.util
+import json
 import os
+import pathlib
 
 import pytest
 
 import repro.workloads.harness as H
 from repro.workloads.setups import add_VBc, build_D
+
+JOBS = pathlib.Path(__file__).resolve().parent.parent / "jobs"
 
 
 @pytest.fixture(autouse=True)
@@ -44,6 +49,24 @@ def test_run_table2(spark):
     assert {c.dataset for c in cells} == {"ork", "lj", "wt", "brk"}
     for c in cells:
         assert c.rows > 0 and c.extra["n_vertices"] > 0
+
+
+def test_job_prints_and_saves_table2(spark, monkeypatch, tmp_path, capsys):
+    """``jobs/run.py table2`` prints one line per cell and saves the
+    cells as ``<table>.json``, the file ``render_experiments.py`` reads."""
+    monkeypatch.syspath_prepend(str(JOBS))
+    spec = importlib.util.spec_from_file_location("table_job", JOBS / "run.py")
+    job = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(job)
+    monkeypatch.setattr(job.common, "RESULTS_DIR", tmp_path)
+    cells = job.run(spark, "table2")
+    saved = json.loads((tmp_path / "table2.json").read_text())
+    assert saved == [c.to_dict() for c in cells]
+    assert {c["dataset"] for c in saved} == {"ork", "lj", "wt", "brk"}
+    for c in saved:
+        assert {"n_vertices", "avg_degree", "mirrors"} <= c["extra"].keys()
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 1 + len(cells)
 
 
 def test_run_table3_cell_grid(spark):

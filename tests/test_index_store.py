@@ -1,14 +1,13 @@
 """INDEX STORE registry and predicate-subsumption matching."""
 import pytest
 
-from repro.core.config import EDGE, NBR, Atom, IndexConfig, graphflow_default
+from repro.core.config import Atom, IndexConfig, edge_roles, graphflow_default
 from repro.core.default_index import build_default_index
 from repro.core.edge_bound import build_edge_bound
 from repro.core.index_store import (
     IndexStore,
     atoms_subsumed,
     canon_atom,
-    normalize_nbr_role,
 )
 from repro.core.vertex_bound import build_vertex_bound
 from repro.core.views import DST_FW, SRC_BW, EdgeView, TwoPathView
@@ -27,6 +26,15 @@ def store(spark):
             EdgeView("usd", (Atom(("e_adj", "currency"), "=", "USD"),)),
             IndexConfig("fw"),
             name="VB.usd",
+        )
+    )
+    s.add(
+        build_vertex_bound(
+            bw,
+            EdgeView("from_waterloo",
+                     (Atom(("v_s", "city"), "=", "Waterloo"),)),
+            IndexConfig("bw"),
+            name="VB.from_waterloo",
         )
     )
     s.add(
@@ -67,10 +75,14 @@ def test_canon_atom_normalizes_surface_names():
     assert canon_atom(a) == canon_atom(b)
 
 
-def test_normalize_nbr_role():
-    a = Atom(("v_d", "city"), "=", "X")
-    assert normalize_nbr_role(a, "fw").lhs == ("v_nbr", "city")
-    assert normalize_nbr_role(a, "bw").lhs == ("v_d", "city")
+def test_edge_roles_rename():
+    a = Atom(("v_s", "city"), "=", ("v_d", "city"))
+    fw = a.rename(edge_roles("fw"))
+    assert (fw.lhs, fw.rhs) == (("v_shared", "city"), ("v_nbr", "city"))
+    bw = a.rename(edge_roles("bw"))
+    assert (bw.lhs, bw.rhs) == (("v_nbr", "city"), ("v_shared", "city"))
+    e = Atom(("e_adj", "amt"), ">", 5).rename(edge_roles("bw"))
+    assert e == Atom(("e_adj", "amt"), ">", 5)
 
 
 def test_atoms_subsumed():
@@ -90,6 +102,19 @@ def test_match_vertex_bound(store):
         Atom(("e_adj", "currency"), "=", "USD")
     ]) == []
     assert store.match_vertex_bound("fw", []) == []
+
+
+def test_match_backward_vertex_bound_on_neighbour(store):
+    """A backward extension binds the edge's source as its neighbour
+    (``v_nbr``), which a backward view writes as ``v_s``."""
+    nbr = [Atom(("v_nbr", "city"), "=", "Waterloo")]
+    assert [vb.name for vb in store.match_vertex_bound("bw", nbr)] == [
+        "VB.from_waterloo"
+    ]
+    assert store.match_vertex_bound("fw", nbr) == []
+    assert store.match_vertex_bound(
+        "bw", [Atom(("v_shared", "city"), "=", "Waterloo")]
+    ) == []
 
 
 def test_match_edge_bound(store):

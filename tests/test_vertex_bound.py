@@ -127,6 +127,42 @@ def test_view_predicate_on_vertex_props(g, fw):
     vb.unpersist()
 
 
+def test_backward_view_predicates_on_both_endpoints(g):
+    """In a backward index the owner is ``v_d`` and the neighbour is
+    ``v_s``: a predicate on each endpoint must select the same edges
+    as in the edge table."""
+    bw = build_default_index(g, graphflow_default("bw"))
+    vb = build_vertex_bound(
+        bw,
+        EdgeView("waterloo_to_cq", (
+            Atom(("v_s", "city"), "=", "Waterloo"),
+            Atom(("v_d", "acc"), "=", "CQ"),
+        )),
+        IndexConfig(direction="bw"),
+    )
+    assert vb.atoms == (
+        Atom(("v_nbr", "city"), "=", "Waterloo"),
+        Atom(("v_shared", "acc"), "=", "CQ"),
+    )
+    resolved = vb.lists.select(
+        gather(F.col("ref"), F.col("offsets")).alias("entries")
+    ).collect()
+    got = sorted(s["eid"] for r in resolved for s in r["entries"])
+    v = g.vertices
+    want = sorted(
+        r["eid"]
+        for r in g.edges.join(
+            v.where("city = 'Waterloo'").select(F.col("vid").alias("src")),
+            "src",
+        ).join(
+            v.where("acc = 'CQ'").select(F.col("vid").alias("dst")), "dst"
+        ).collect()
+    )
+    assert got == want and len(want) > 0
+    vb.unpersist()
+    bw.unpersist()
+
+
 def test_direction_mismatch_raises(fw):
     with pytest.raises(ValueError, match="must match"):
         build_vertex_bound(fw, EdgeView("x"), IndexConfig(direction="bw"))
